@@ -8,8 +8,12 @@ analytic signal so the narrow-band phase model of Eq. (7) applies.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import signal as sp_signal
+
+from repro.signal.filters import zero_phase_filter
 
 
 def analytic_signal(samples: np.ndarray) -> np.ndarray:
@@ -39,6 +43,13 @@ def envelope(samples: np.ndarray) -> np.ndarray:
     return np.abs(analytic_signal(samples))
 
 
+@functools.lru_cache(maxsize=16)
+def _lowpass(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Butterworth low-pass sections and their initial state, built once."""
+    sos = sp_signal.butter(order, cutoff, btype="lowpass", output="sos")
+    return sos, sp_signal.sosfilt_zi(sos)
+
+
 def smooth_envelope(
     samples: np.ndarray,
     sample_rate: float,
@@ -66,8 +77,6 @@ def smooth_envelope(
             f"cutoff {cutoff_hz} Hz must lie in (0, {sample_rate / 2}) Hz"
         )
     raw = envelope(samples)
-    sos = sp_signal.butter(
-        order, cutoff_hz / (sample_rate / 2.0), btype="lowpass", output="sos"
-    )
-    smoothed = sp_signal.sosfiltfilt(sos, raw, axis=-1)
+    sos, zi = _lowpass(order, cutoff_hz / (sample_rate / 2.0))
+    smoothed = zero_phase_filter(sos, zi, raw)
     return np.clip(smoothed, 0.0, None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, im2col
+from repro.ml.nn.vggish import MiniVGGish
 
 
 class TestIm2col:
@@ -93,6 +94,17 @@ class TestActivationsAndPooling:
         with pytest.raises(ValueError):
             MaxPool2D(4)(np.zeros((1, 1, 2, 2)))
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("hw", [(12, 12), (7, 9), (10, 11)])
+    def test_maxpool_matches_reshape_reference(self, size, hw):
+        h, w = hw
+        x = np.random.default_rng(size).standard_normal((3, 4, h, w))
+        ref = x[:, :, : h - h % size, : w - w % size]
+        ref = ref.reshape(
+            3, 4, h // size, size, w // size, size
+        ).max(axis=(3, 5))
+        assert np.array_equal(MaxPool2D(size)(x), ref)
+
     def test_flatten(self):
         out = Flatten()(np.zeros((3, 2, 4, 4)))
         assert out.shape == (3, 32)
@@ -108,3 +120,15 @@ class TestDense:
         dense = Dense(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             dense(np.zeros((1, 4)))
+
+
+def test_vggish_batched_equals_per_image():
+    # The streaming path featurises one beep at a time; it must agree
+    # bit for bit with the batched path.
+    rng = np.random.default_rng(7)
+    images = [rng.standard_normal((48, 48)) for _ in range(4)]
+    images.append(rng.standard_normal((40, 56)))
+    model = MiniVGGish()
+    batched = model.extract(images)
+    per_image = np.vstack([model.extract([im]) for im in images])
+    assert np.array_equal(batched, per_image)
