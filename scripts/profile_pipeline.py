@@ -7,17 +7,19 @@ Enrolls one synthetic user, authenticates a fresh attempt, and prints:
 3. a cache-on vs cache-off comparison of repeated-beep imaging — the
    steering-geometry cache that PR 1 landed (grid angles/ranges memoized
    on the plane, per-band steering matrices reused across beeps),
-4. a batched vs sequential imaging comparison — ``image_batch``
-   (shared filter-bank front end + grouped-GEMM beamforming, the PR 3
-   serving-layer kernel) against the paper-shaped per-beep loop,
+4. a batched vs sequential imaging comparison — ``image_batch`` (one
+   windowed-covariance range-gating call over the attempt's beeps)
+   against the paper-shaped per-beep loop,
 5. a metrics-on vs metrics-off comparison of ``authenticate`` — the
    overhead of the PR 2 metrics registry and drift monitors, which must
    stay well under 5% of the pipeline wall time.
 
 The numbers printed by steps 3-5 are the source of the
 performance-baseline table in EXPERIMENTS.md.  ``--quick`` runs only
-the batched-imaging smoke (bitwise parity + at-least-as-fast) and exits
-non-zero on regression; CI runs it on every push.
+the front-end smoke — batched imaging (bitwise parity +
+at-least-as-fast) and ranging on the shared stacked front end (bitwise
+parity with a beep-by-beep computation) — and exits non-zero on
+regression; CI runs it on every push.
 
 Run:  PYTHONPATH=src python scripts/profile_pipeline.py
       PYTHONPATH=src python scripts/profile_pipeline.py --beeps 20 --repeats 5
@@ -34,11 +36,16 @@ import numpy as np
 from repro import EchoImagePipeline
 from repro.acoustics.noise import NoiseModel
 from repro.acoustics.scene import AcousticScene
+from repro.array.covariance import estimate_noise_covariance
 from repro.body.subject import SyntheticSubject
 from repro.config import AuthenticationConfig, EchoImageConfig, ImagingConfig
+from repro.core.distance import DistanceEstimator
+from repro.core.frontend import AttemptSignals
 from repro.core.imaging import AcousticImager
 from repro.obs import Profiler, set_metrics_enabled
+from repro.signal.analytic import analytic_signal, smooth_envelope
 from repro.signal.chirp import LFMChirp
+from repro.signal.correlation import matched_filter
 
 
 def parse_args() -> argparse.Namespace:
@@ -69,7 +76,9 @@ def parse_args() -> argparse.Namespace:
         "--quick", action="store_true",
         help="smoke mode: only compare batched vs sequential imaging on "
         "a >=4-beep attempt and exit non-zero unless the batched path is "
-        "at least as fast (and numerically identical); used by CI",
+        "at least as fast (and numerically identical), or unless ranging "
+        "on the shared front end equals a beep-by-beep computation; used "
+        "by CI",
     )
     parser.add_argument("--seed", type=int, default=7, help="scene seed")
     return parser.parse_args()
@@ -106,8 +115,51 @@ def time_imaging(
     return best
 
 
+def beep_by_beep_envelope(estimator: DistanceEstimator, attempt):
+    """Eq. (10) computed one beep at a time, each beep with its own
+    band-pass, Hilbert transform, noise covariance, MVDR beamform,
+    matched filter (Eq. 9) and envelope smoother."""
+    envelopes = []
+    for rec in attempt:
+        analytic = analytic_signal(estimator._bandpass.apply(rec.samples))
+        beamformer = estimator._beamformer_factory(
+            estimator.array,
+            estimate_noise_covariance(analytic, noise_samples=rec.emit_index),
+        )
+        beamformed = beamformer.beamform(
+            analytic,
+            estimator.config.steer_azimuth_rad,
+            estimator.config.steer_elevation_rad,
+        )
+        envelope = smooth_envelope(
+            matched_filter(np.real(beamformed), estimator._template),
+            sample_rate=rec.sample_rate,
+            cutoff_hz=estimator.config.envelope_smoothing_hz,
+        )
+        envelopes.append(envelope[rec.emit_index :])
+    length = min(env.size for env in envelopes)
+    stacked = np.stack([env[:length] for env in envelopes])
+    return np.mean(np.abs(stacked) ** 2, axis=0)
+
+
+def ranging_parity(estimator: DistanceEstimator, attempt) -> bool:
+    """Whether ranging on the shared stacked front end is bitwise equal
+    to the beep-by-beep computation."""
+    shared = estimator.averaged_envelope(attempt, AttemptSignals(attempt))
+    per_beep = beep_by_beep_envelope(estimator, attempt)
+    if np.array_equal(shared, per_beep):
+        return True
+    print(
+        f"FAIL: ranging on the shared front end differs from the "
+        f"beep-by-beep envelope (max |err| "
+        f"{np.max(np.abs(shared - per_beep)):.3e})"
+    )
+    return False
+
+
 def run_quick(args) -> int:
-    """CI smoke: batched imaging must match and beat the sequential loop."""
+    """CI smoke: batched imaging must match and beat the sequential loop,
+    and ranging on the shared front end must match beep by beep."""
     from repro.core.imaging import ImagingPlane
 
     rng = np.random.default_rng(args.seed)
@@ -127,6 +179,11 @@ def run_quick(args) -> int:
         array=scene.array, beep=config.beep, config=config.imaging
     )
     plane = ImagingPlane.from_config(0.75, config.imaging)
+    estimator = DistanceEstimator(
+        array=scene.array, beep=config.beep, config=config.distance
+    )
+    if not ranging_parity(estimator, attempt):
+        return 1
 
     sequential = imager.images(attempt, plane)
     batched = imager.image_batch(attempt, plane)
@@ -153,7 +210,10 @@ def run_quick(args) -> int:
     if batch_s > loop_s:
         print("FAIL: batched imaging is slower than the sequential loop")
         return 1
-    print("OK: batched path matches bitwise and is at least as fast")
+    print(
+        "OK: batched path matches bitwise and is at least as fast; "
+        "ranging on the shared front end matches beep by beep"
+    )
     return 0
 
 
@@ -229,8 +289,8 @@ def main() -> int:
 
     # --- batched vs sequential imaging -----------------------------------
     # Both paths start from cold steering/gather caches each repeat, so
-    # the comparison isolates the batching itself: shared filter-bank
-    # front end + grouped-GEMM beamforming vs the per-beep loop.
+    # the comparison isolates the batching itself: one range-gating
+    # kernel call over the attempt vs the per-beep loop.
     loop_s = time_imaging(cached, attempt, plane, args.repeats)
     batch_s = time_imaging(cached, attempt, plane, args.repeats, batched=True)
     print()

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.array.beamforming import Beamformer, MVDRBeamformer
-from repro.array.covariance import estimate_noise_covariance
 from repro.array.geometry import MicrophoneArray
 from repro.acoustics.scene import BeepRecording
 from repro.config import BeepConfig, DistanceEstimationConfig
+from repro.core.frontend import AttemptSignals
 from repro.core.telemetry import pipeline_metrics
 from repro.obs import ensure_trace, trace
-from repro.signal.analytic import analytic_signal, smooth_envelope
+from repro.signal.analytic import smooth_envelope
 from repro.signal.chirp import LFMChirp
 from repro.signal.correlation import matched_filter
 from repro.signal.filters import BandpassFilter
@@ -146,65 +146,85 @@ class DistanceEstimator:
         )
         self._template = LFMChirp.from_config(self.beep).samples()
 
-    def beamformed_signal(self, recording: BeepRecording) -> np.ndarray:
-        """Band-pass, analytic-transform and beamform one capture.
-
-        Returns:
-            Complex beamformed signal of shape ``(N,)`` steered to the
-            configured upper-body direction.
-        """
-        filtered = self._bandpass.apply(recording.samples)
-        analytic = analytic_signal(filtered)
-        noise_cov = estimate_noise_covariance(
-            analytic, noise_samples=recording.emit_index
-        )
-        beamformer: Beamformer = self._beamformer_factory(
-            self.array, noise_cov
-        )
-        return beamformer.beamform(
-            analytic,
-            self.config.steer_azimuth_rad,
-            self.config.steer_elevation_rad,
-        )
-
-    def correlation_envelope(self, recording: BeepRecording) -> np.ndarray:
-        """Envelope ``E_l(t)`` of the matched-filter output of one beep.
-
-        The returned sequence is re-indexed to start at the emission sample
-        so delays read directly as propagation times.
-        """
-        beamformed = self.beamformed_signal(recording)
-        correlation = matched_filter(np.real(beamformed), self._template)
-        envelope = smooth_envelope(
-            correlation,
-            sample_rate=recording.sample_rate,
-            cutoff_hz=self.config.envelope_smoothing_hz,
-        )
-        return envelope[recording.emit_index :]
-
     def averaged_envelope(
-        self, recordings: list[BeepRecording]
+        self,
+        recordings: list[BeepRecording],
+        signals: AttemptSignals | None = None,
     ) -> np.ndarray:
-        """Averaged squared envelope ``E(t)`` over L beeps (Eq. 10)."""
+        """Averaged squared envelope ``E(t)`` over L beeps (Eq. 10).
+
+        Each beep is MVDR-steered to the configured upper-body direction
+        on the attempt's shared band-passed analytic signal; the matched
+        filter (Eq. 9) and the envelope smoother then run once over the
+        stacked beamformed rows.  Each envelope is re-indexed to start at
+        its emission sample so delays read directly as propagation times.
+
+        Args:
+            recordings: The L beep captures.
+            signals: The attempt's shared front end; built from
+                ``recordings`` when omitted.
+        """
         if not recordings:
             raise ValueError("need at least one beep recording")
-        envelopes = []
+        signals = signals or AttemptSignals(recordings)
+        analytic = signals.analytic(self._bandpass)
+        beamformed = []
         for index, rec in enumerate(recordings):
             with trace(
                 "distance.envelope",
                 beep=index,
                 bytes=int(rec.samples.nbytes),
             ):
-                envelopes.append(self.correlation_envelope(rec))
+                noise_cov = signals.noise_covariance(self._bandpass, index)
+                beamformer: Beamformer = self._beamformer_factory(
+                    self.array, noise_cov
+                )
+                beamformed.append(
+                    beamformer.beamform(
+                        analytic[index],
+                        self.config.steer_azimuth_rad,
+                        self.config.steer_elevation_rad,
+                    )
+                )
+        if isinstance(analytic, np.ndarray):
+            envelopes = self._envelope(
+                np.stack(beamformed), recordings[0].sample_rate
+            )
+        else:
+            envelopes = [
+                self._envelope(row, rec.sample_rate)
+                for row, rec in zip(beamformed, recordings)
+            ]
+        envelopes = [
+            env[rec.emit_index :] for env, rec in zip(envelopes, recordings)
+        ]
         length = min(env.size for env in envelopes)
         stacked = np.stack([env[:length] for env in envelopes])
         return np.mean(np.abs(stacked) ** 2, axis=0)
 
-    def estimate(self, recordings: list[BeepRecording]) -> DistanceEstimate:
+    def _envelope(
+        self, beamformed: np.ndarray, sample_rate: float
+    ) -> np.ndarray:
+        """Smoothed matched-filter envelope ``E_l(t)`` along the last axis."""
+        correlation = matched_filter(np.real(beamformed), self._template)
+        return smooth_envelope(
+            correlation,
+            sample_rate=sample_rate,
+            cutoff_hz=self.config.envelope_smoothing_hz,
+        )
+
+    def estimate(
+        self,
+        recordings: list[BeepRecording],
+        signals: AttemptSignals | None = None,
+    ) -> DistanceEstimate:
         """Estimate the user–array distance from L beep captures.
 
         Args:
             recordings: The captures; all must share one sample rate.
+            signals: The attempt's shared front end (see
+                :class:`~repro.core.frontend.AttemptSignals`); built from
+                ``recordings`` when omitted.
 
         Returns:
             The :class:`DistanceEstimate`.
@@ -226,7 +246,9 @@ class DistanceEstimator:
         ) as span:
             metrics = pipeline_metrics()
             try:
-                estimate = self._estimate_traced(recordings, sample_rate)
+                estimate = self._estimate_traced(
+                    recordings, sample_rate, signals
+                )
             except DistanceEstimationError:
                 if metrics is not None:
                     metrics.distance_estimates.labels(outcome="no_echo").inc()
@@ -244,9 +266,12 @@ class DistanceEstimator:
             return estimate
 
     def _estimate_traced(
-        self, recordings: list[BeepRecording], sample_rate: int
+        self,
+        recordings: list[BeepRecording],
+        sample_rate: int,
+        signals: AttemptSignals | None,
     ) -> DistanceEstimate:
-        envelope = self.averaged_envelope(recordings)
+        envelope = self.averaged_envelope(recordings, signals)
 
         threshold = self.config.peak_threshold_ratio * float(envelope.max())
         max_set = find_local_maxima(

@@ -19,19 +19,17 @@ separates body echoes from same-direction clutter at other ranges.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.array.beamforming import Beamformer, MVDRBeamformer
-from repro.array.covariance import estimate_noise_covariance
 from repro.array.geometry import MicrophoneArray
 from repro.acoustics.scene import BeepRecording
 from repro.config import BeepConfig, ImagingConfig
+from repro.core.frontend import AttemptSignals, stackable
 from repro.core.telemetry import pipeline_metrics
 from repro.obs import ensure_trace, trace
-from repro.signal.analytic import analytic_signal
 from repro.signal.filters import BandpassFilter
 
 
@@ -182,7 +180,9 @@ class AcousticImager:
     child per sub-band, with a ``steering_cached`` attribute) into the
     ambient :mod:`repro.obs` trace.  When imaging the L beeps of one
     attempt (``imager.images(recordings, plane)``), the first beep warms
-    the steering cache and the rest reuse it.
+    the steering cache and the rest reuse it.  The steering and
+    segment-gather caches make an imager stateful: share one imager per
+    worker, not across threads.
     """
 
     def __init__(
@@ -203,7 +203,6 @@ class AcousticImager:
         self._steering_by_band: dict[int, np.ndarray] = {}
         self._gather_key: tuple | None = None
         self._gather: _SegmentGather | None = None
-        self._scratch: dict[tuple, np.ndarray] = {}
         self._beamformer_factory = beamformer_factory or (
             lambda arr, cov: MVDRBeamformer(
                 array=arr,
@@ -226,7 +225,10 @@ class AcousticImager:
         ]
 
     def image(
-        self, recording: BeepRecording, plane: ImagingPlane
+        self,
+        recording: BeepRecording,
+        plane: ImagingPlane,
+        signals: AttemptSignals | None = None,
     ) -> np.ndarray:
         """Construct the acoustic image ``AI_l`` from one beep capture.
 
@@ -237,11 +239,15 @@ class AcousticImager:
         Args:
             recording: One multichannel beep capture.
             plane: The imaging plane (placed at the estimated distance).
+            signals: The capture's front end — a one-beep view
+                (:meth:`AttemptSignals.beep`) of the attempt's shared
+                front end; built from ``recording`` when omitted.
 
         Returns:
             Image of shape ``(resolution, resolution)`` of non-negative
             pixel values (segment L2 norms).
         """
+        signals = signals or AttemptSignals([recording])
         with ensure_trace(), trace(
             "imaging.image",
             resolution=plane.resolution,
@@ -249,22 +255,94 @@ class AcousticImager:
             distance_m=plane.distance_m,
             bytes=int(recording.samples.nbytes),
         ) as span:
-            energies = [
-                self._band_energy(recording, plane, band_index)
-                for band_index in range(self.config.subbands)
-            ]
-            pixels = np.sqrt(np.mean(energies, axis=0))
+            (pixels,) = self._pixels(signals, plane)
             metrics = pipeline_metrics()
             if metrics is not None:
                 # Imaging fidelity: how far the brightest pixel (the body
                 # reflection of Eqs. 11-12) stands above the clutter floor.
-                floor = float(np.median(pixels)) + 1e-30
-                dynamic_range_db = 20.0 * np.log10(
-                    float(pixels.max()) / floor + 1e-30
-                )
+                dynamic_range_db = _dynamic_range_db(pixels)
                 metrics.image_dynamic_range_db.observe(dynamic_range_db)
-                span.set("dynamic_range_db", float(dynamic_range_db))
+                span.set("dynamic_range_db", dynamic_range_db)
             return pixels.reshape(plane.resolution, plane.resolution)
+
+    def images(
+        self,
+        recordings: list[BeepRecording],
+        plane: ImagingPlane,
+        signals: AttemptSignals | None = None,
+    ) -> list[np.ndarray]:
+        """One acoustic image per beep capture.
+
+        The first beep warms the per-band steering cache for ``plane``;
+        every subsequent beep reuses it (see ``steering_cache``).  The
+        beeps share one front end (``signals``, built from
+        ``recordings`` when omitted), so the band-pass and Hilbert
+        transform run once for the attempt, not once per beep.
+        """
+        signals = signals or AttemptSignals(recordings)
+        return [
+            self.image(rec, plane, signals.beep(index))
+            for index, rec in enumerate(recordings)
+        ]
+
+    def image_batch(
+        self,
+        recordings: list[BeepRecording],
+        plane: ImagingPlane,
+        signals: AttemptSignals | None = None,
+    ) -> list[np.ndarray]:
+        """Batched equivalent of :meth:`images` for one attempt.
+
+        The L beeps of an attempt share the imaging plane, so after the
+        per-beep MVDR weights the range-gating kernel runs once over all
+        L beeps instead of once per beep.  The kernel computes every
+        beep's row exactly as :meth:`image` does, so the output matches
+        the sequential path bit-for-bit (pinned by
+        ``tests/serve/test_image_batch_properties.py`` and the golden
+        harness under ``tests/golden``).
+
+        Falls back to the sequential loop when the captures are
+        heterogeneous (different channel counts, lengths, sample rates
+        or emission samples).  An empty list returns ``[]``.
+
+        Returns:
+            One ``(resolution, resolution)`` image per recording, in
+            input order.
+        """
+        if not recordings:
+            return []
+        signals = signals or AttemptSignals(recordings)
+        if len(recordings) == 1 or not stackable(recordings):
+            return self.images(recordings, plane, signals)
+        with ensure_trace(), trace(
+            "imaging.image_batch",
+            num_beeps=len(recordings),
+            resolution=plane.resolution,
+            subbands=self.config.subbands,
+            distance_m=plane.distance_m,
+            bytes=int(sum(rec.samples.nbytes for rec in recordings)),
+        ):
+            pixels = self._pixels(signals, plane, num_beeps=len(recordings))
+            metrics = pipeline_metrics()
+            if metrics is not None:
+                for row in pixels:
+                    metrics.image_dynamic_range_db.observe(
+                        _dynamic_range_db(row)
+                    )
+            return [
+                row.reshape(plane.resolution, plane.resolution)
+                for row in pixels
+            ]
+
+    def _pixels(
+        self, signals: AttemptSignals, plane: ImagingPlane, **band_attrs
+    ) -> np.ndarray:
+        """Pixel values ``(L, K)`` of every beep of ``signals``."""
+        energies = [
+            self._band_energies(signals, plane, band_index, **band_attrs)
+            for band_index in range(self.config.subbands)
+        ]  # subbands x (L, K)
+        return np.sqrt(np.mean(energies, axis=0))
 
     def _band_steering(
         self,
@@ -276,16 +354,9 @@ class AcousticImager:
 
         Returns:
             ``(steering, was_cached)`` — ``steering`` is ``None`` when the
-            cache is disabled or the beamformer does not accept a
-            precomputed steering matrix.
+            cache is disabled or the beamformer ignores steering.
         """
-        if not self.steering_cache_enabled:
-            return None, False
-        if not getattr(beamformer, "uses_steering", True):
-            return None, False
-        if not hasattr(beamformer, "steering_batch") or not _accepts_steering(
-            beamformer
-        ):
+        if not (self.steering_cache_enabled and beamformer.uses_steering):
             return None, False
         if self._steering_plane != plane:
             # New plane (new attempt): the old grid geometry is dead.
@@ -299,116 +370,91 @@ class AcousticImager:
         self._steering_by_band[band_index] = steer
         return steer, False
 
-    def _band_energy(
+    def _band_energies(
         self,
-        recording: BeepRecording,
+        signals: AttemptSignals,
         plane: ImagingPlane,
         band_index: int,
+        **band_attrs,
     ) -> np.ndarray:
-        """Per-grid segment energy of one sub-band, shape ``(K,)``."""
+        """Per-grid segment energies of one sub-band, shape ``(L, K)``."""
         band_low = self._subband_edges[band_index]
         band_high = self._subband_edges[band_index + 1]
+        bandpass = self._bandpasses[band_index]
         with trace(
             "imaging.band",
             band=band_index,
             low_hz=float(band_low),
             high_hz=float(band_high),
             num_grids=plane.num_grids,
+            **band_attrs,
         ) as span:
-            return self._band_energy_traced(
-                recording, plane, band_index, band_low, band_high, span
+            weights, cached = zip(
+                *(
+                    self._band_weights(
+                        signals.noise_covariance(bandpass, index),
+                        plane,
+                        (band_low + band_high) / 2.0,
+                        band_index,
+                    )
+                    for index in range(len(signals.recordings))
+                )
             )
-
-    def _band_energy_traced(
-        self,
-        recording: BeepRecording,
-        plane: ImagingPlane,
-        band_index: int,
-        band_low: float,
-        band_high: float,
-        span,
-    ) -> np.ndarray:
-        filtered = self._bandpasses[band_index].apply(recording.samples)
-        analytic = analytic_signal(filtered)
-        weights, was_cached = self._band_weights(
-            analytic, recording.emit_index, plane, band_index,
-            band_low, band_high,
-        )
-        span.set("steering_cached", was_cached)
-        gather = self._segment_gather(
-            plane,
-            sample_rate=recording.sample_rate,
-            emit_index=recording.emit_index,
-            num_samples=recording.num_samples,
-        )
-        energies = _grid_energies(
-            analytic,
-            weights,
-            gather,
-            self._scratch_buffer("beamformed", plane.num_grids, gather.length),
-            self._scratch_buffer("weights", plane.num_grids, recording.num_mics),
-        )
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            metrics.image_band_energy.labels(band=band_index).set(
-                float(energies.sum())
+            span.set("steering_cached", any(cached))
+            energies = _grid_energies(
+                signals.analytic(bandpass),  # (L, M, N)
+                np.stack(weights),
+                self._segment_gather(plane, signals.recordings[0]),
             )
-        return energies
+            metrics = pipeline_metrics()
+            if metrics is not None:
+                # The gauge holds the band energy of the last beep imaged.
+                metrics.image_band_energy.labels(band=band_index).set(
+                    float(energies[-1].sum())
+                )
+            return energies
 
     def _band_weights(
         self,
-        analytic: np.ndarray,
-        emit_index: int,
+        noise_cov: np.ndarray,
         plane: ImagingPlane,
+        frequency_hz: float,
         band_index: int,
-        band_low: float,
-        band_high: float,
     ) -> tuple[np.ndarray, bool]:
         """MVDR weights ``(K, M)`` of one beep for one sub-band.
 
         Returns ``(weights, steering_was_cached)``.
         """
-        noise_cov = estimate_noise_covariance(
-            analytic, noise_samples=emit_index
-        )
         beamformer: Beamformer = self._beamformer_factory(
             self.array, noise_cov
         )
         # Steer at the sub-band centre frequency.
-        beamformer.frequency_hz = (band_low + band_high) / 2.0
+        beamformer.frequency_hz = frequency_hz
         theta, phi = plane.grid_angles()
         steering, was_cached = self._band_steering(
             beamformer, plane, band_index
         )
-        if steering is not None:
-            weights = beamformer.weights_batch(
-                theta, phi, steering=steering
-            )  # (K, M)
-        else:
-            weights = beamformer.weights_batch(theta, phi)  # (K, M)
+        weights = beamformer.weights_batch(theta, phi, steering=steering)
         return weights, was_cached
 
     def _segment_gather(
-        self,
-        plane: ImagingPlane,
-        sample_rate: float,
-        emit_index: int,
-        num_samples: int,
+        self, plane: ImagingPlane, recording: BeepRecording
     ) -> "_SegmentGather":
-        """Per-grid segment windows, grouped by their start sample.
+        """Per-grid segment windows of a capture, grouped by start sample.
 
         Grid k's segment is centred on its round-trip delay ``2 D_k / c``
         after the emission, ``S = 2 * safeguard + 1`` samples long, and
         clamped inside the capture.  Because the delays are quantised to
         samples, the K grids share only ~O(delay spread) distinct
-        windows; grouping the grids by window start lets the beamforming
-        kernel run one small GEMM per *window* on a contiguous slice of
-        the capture instead of materialising the full ``(M, K, S)``
-        segment tensor (a multi-megabyte gather per beep and sub-band).
-        The grouping depends only on the plane and the capture geometry
-        — not on the samples — so it is cached and replayed for every
-        beep and sub-band of an attempt.
+        windows, so the range-gating kernel computes one ``M x M``
+        covariance per *window* rather than one beamformed segment per
+        grid.  The grouping depends only on the plane and the capture
+        geometry — not on the samples — so it is cached and replayed for
+        every beep and sub-band of an attempt.
         """
+        sample_rate = recording.sample_rate
+        emit_index = recording.emit_index
+        num_samples = recording.num_samples
         key = (plane, sample_rate, emit_index, num_samples)
         if self._gather_key == key and self._gather is not None:
             return self._gather
@@ -425,184 +471,14 @@ class AcousticImager:
                 "capture too short for the imaging segments; increase the "
                 "scene capture window or reduce the plane size"
             )
-        order = np.argsort(starts, kind="stable")
-        sorted_starts = starts[order]
-        boundaries = np.flatnonzero(np.diff(sorted_starts)) + 1
-        groups = []
-        begin = 0
-        for end in [*boundaries.tolist(), starts.size]:
-            groups.append((int(sorted_starts[begin]), begin, int(end)))
-            begin = int(end)
-        order.setflags(write=False)
-        gather = _SegmentGather(
-            order=order, groups=tuple(groups), length=length
-        )
+        window_starts, window_of = np.unique(starts, return_inverse=True)
+        samples = window_starts[:, None] + np.arange(length)
+        samples.setflags(write=False)
+        window_of.setflags(write=False)
+        gather = _SegmentGather(samples=samples, window_of=window_of)
         self._gather_key = key
         self._gather = gather
         return gather
-
-    def _scratch_buffer(self, role: str, *shape: int) -> np.ndarray:
-        """A reusable complex work buffer of the requested shape.
-
-        The beamformed-segment tensors are megabytes per call, large
-        enough that a fresh ``np.empty`` per beep lands in ``mmap``-ed
-        memory and pays kernel page-fault cost on every write; reusing
-        one buffer per (role, shape) keeps the pages warm.  ``role``
-        separates buffers that are live at the same time.  Callers fully
-        overwrite the buffer before reading it.  (Like the steering
-        cache, this makes the imager stateful — share one imager per
-        worker, not across threads.)
-        """
-        key = (role, *shape)
-        buffer = self._scratch.get(key)
-        if buffer is None:
-            if len(self._scratch) >= 4:  # bound memory across shapes
-                self._scratch.pop(next(iter(self._scratch)))
-            buffer = np.empty(shape, dtype=complex)
-            self._scratch[key] = buffer
-        return buffer
-
-    def images(
-        self, recordings: list[BeepRecording], plane: ImagingPlane
-    ) -> list[np.ndarray]:
-        """One acoustic image per beep capture.
-
-        The first beep warms the per-band steering cache for ``plane``;
-        every subsequent beep reuses it (see ``steering_cache``).
-        """
-        return [self.image(rec, plane) for rec in recordings]
-
-    def image_batch(
-        self, recordings: list[BeepRecording], plane: ImagingPlane
-    ) -> list[np.ndarray]:
-        """Batched equivalent of :meth:`images` for one attempt.
-
-        The L beeps of an attempt share the imaging plane, so the heavy
-        per-beep front end — band-pass filtering and the Hilbert
-        transform — is evaluated once on the stacked ``(L, M, N)``
-        capture instead of L times, and the per-band steering matrices
-        are computed once and replayed (the cache the sequential path
-        only warms after the first beep).  The per-beep MVDR weights and
-        segment energies are still evaluated exactly as in
-        :meth:`image`, so the output matches the sequential path
-        bit-for-bit on every platform we test (the golden harness under
-        ``tests/golden`` enforces ≤1e-10 drift as a safety net).
-
-        Falls back to the sequential loop when the captures are
-        heterogeneous (different channel counts, lengths or sample
-        rates).  An empty list returns ``[]``.
-
-        Returns:
-            One ``(resolution, resolution)`` image per recording, in
-            input order.
-        """
-        if not recordings:
-            return []
-        if len(recordings) == 1 or not _stackable(recordings):
-            return self.images(recordings, plane)
-        with ensure_trace(), trace(
-            "imaging.image_batch",
-            num_beeps=len(recordings),
-            resolution=plane.resolution,
-            subbands=self.config.subbands,
-            distance_m=plane.distance_m,
-            bytes=int(sum(rec.samples.nbytes for rec in recordings)),
-        ):
-            stacked = np.stack(
-                [rec.samples for rec in recordings]
-            )  # (L, M, N)
-            energies = [
-                self._band_energy_batch(stacked, recordings, plane, band)
-                for band in range(self.config.subbands)
-            ]  # subbands x (L, K)
-            pixels = np.sqrt(np.mean(energies, axis=0))  # (L, K)
-            metrics = pipeline_metrics()
-            if metrics is not None:
-                for row in pixels:
-                    floor = float(np.median(row)) + 1e-30
-                    metrics.image_dynamic_range_db.observe(
-                        20.0 * np.log10(float(row.max()) / floor + 1e-30)
-                    )
-            return [
-                row.reshape(plane.resolution, plane.resolution)
-                for row in pixels
-            ]
-
-    def _band_energy_batch(
-        self,
-        stacked: np.ndarray,
-        recordings: list[BeepRecording],
-        plane: ImagingPlane,
-        band_index: int,
-    ) -> np.ndarray:
-        """Per-grid energies of one sub-band for all beeps, ``(L, K)``."""
-        band_low = self._subband_edges[band_index]
-        band_high = self._subband_edges[band_index + 1]
-        with trace(
-            "imaging.band",
-            band=band_index,
-            low_hz=float(band_low),
-            high_hz=float(band_high),
-            num_grids=plane.num_grids,
-            num_beeps=len(recordings),
-        ) as span:
-            # One zero-phase filter + Hilbert transform over the whole
-            # batch: both operate row-wise along the last axis, so each
-            # beep's analytic signal is bit-identical to the sequential
-            # path's while the per-call setup cost is paid once.
-            filtered = self._bandpasses[band_index].apply(stacked)
-            analytic = analytic_signal(filtered)  # (L, M, N)
-            num_beeps = len(recordings)
-            beamformed: np.ndarray | None = None
-            orders: list[np.ndarray] = []
-            any_cached = False
-            for index, recording in enumerate(recordings):
-                weights, was_cached = self._band_weights(
-                    analytic[index], recording.emit_index, plane,
-                    band_index, band_low, band_high,
-                )
-                any_cached = any_cached or was_cached
-                gather = self._segment_gather(
-                    plane,
-                    sample_rate=recording.sample_rate,
-                    emit_index=recording.emit_index,
-                    num_samples=recording.num_samples,
-                )
-                if beamformed is None:
-                    beamformed = self._scratch_buffer(
-                        "beamformed",
-                        num_beeps,
-                        plane.num_grids,
-                        gather.length,
-                    )
-                _beamform_segments(
-                    analytic[index],
-                    weights,
-                    gather,
-                    beamformed[index],
-                    self._scratch_buffer(
-                        "weights", plane.num_grids, recording.num_mics
-                    ),
-                )
-                orders.append(gather.order)
-            # One fused energy reduction over the whole batch; the
-            # row-wise einsum is bit-identical to the sequential path's
-            # per-beep reduction.
-            sorted_energies = np.einsum(
-                "lks,lks->lk", beamformed, beamformed.conj(), optimize=True
-            ).real
-            energies = np.empty((num_beeps, plane.num_grids))
-            for index, order in enumerate(orders):
-                energies[index, order] = sorted_energies[index]
-            span.set("steering_cached", any_cached)
-            metrics = pipeline_metrics()
-            if metrics is not None:
-                # Parity with the sequential loop: the gauge holds the
-                # band energy of the last beep imaged.
-                metrics.image_band_energy.labels(band=band_index).set(
-                    float(energies[-1].sum())
-                )
-            return energies
 
 
 @dataclass(frozen=True)
@@ -610,96 +486,46 @@ class _SegmentGather:
     """Grids grouped by shared segment window (see ``_segment_gather``).
 
     Attributes:
-        order: Permutation sorting the K grids by window start.
-        groups: ``(start_sample, begin, end)`` triples: grids
-            ``order[begin:end]`` all use the window
-            ``[start_sample, start_sample + length)``.
-        length: Window length ``S = 2 * safeguard + 1``.
+        samples: ``(G, S)`` capture sample indices of the G distinct
+            windows, each ``S = 2 * safeguard + 1`` samples long.
+        window_of: ``(K,)`` index of each grid's window in ``samples``.
     """
 
-    order: np.ndarray
-    groups: tuple[tuple[int, int, int], ...]
-    length: int
-
-
-def _beamform_segments(
-    analytic: np.ndarray,
-    weights: np.ndarray,
-    gather: _SegmentGather,
-    out: np.ndarray,
-    weight_scratch: np.ndarray,
-) -> None:
-    """Beamformed segments in window-sorted grid order, into ``(K, S)``.
-
-    One GEMM per distinct window: grids sharing a window start hit the
-    same contiguous capture slice, so nothing is gathered or copied
-    besides the ``(K, M)`` weight reorder (staged in ``weight_scratch``).
-    Both the sequential and the batched imaging paths call this with
-    identical per-beep operands, which is what keeps their outputs
-    bit-identical.
-    """
-    np.take(weights, gather.order, axis=0, out=weight_scratch)
-    np.conjugate(weight_scratch, out=weight_scratch)
-    for start, begin, end in gather.groups:
-        np.matmul(
-            weight_scratch[begin:end],
-            analytic[:, start : start + gather.length],
-            out=out[begin:end],
-        )
+    samples: np.ndarray
+    window_of: np.ndarray
 
 
 def _grid_energies(
-    analytic: np.ndarray,
-    weights: np.ndarray,
-    gather: _SegmentGather,
-    beamformed: np.ndarray,
-    weight_scratch: np.ndarray,
+    analytic: np.ndarray, weights: np.ndarray, gather: _SegmentGather
 ) -> np.ndarray:
-    """Beamformed segment energies per grid, shape ``(K,)``.
+    """Range-gated beamformed energies per beep and grid, ``(L, K)``.
 
-    The shared kernel of the sequential imaging path; ``beamformed`` is
-    a fully-overwritten ``(K, S)`` work buffer and the energy sum is
-    fused into an einsum to skip the ``hypot``-based ``np.abs``
-    intermediate.
+    Grid k's energy is the beamformed segment energy
+    ``sum_s |w_k^H x_s|^2`` over its window g, computed as the quadratic
+    form ``Re(w_k^H R_g w_k)`` of the window's ``M x M`` covariance
+    ``R_g = X_g X_g^H``: one small covariance per distinct window
+    instead of a ``(K, S)`` beamformed-segment tensor per beep.
+
+    ``analytic`` is ``(L, M, N)`` and ``weights`` ``(L, K, M)``.  The
+    beeps are processed one at a time, so a batched call is bitwise
+    equal to L one-beep calls (the contract that keeps
+    :meth:`AcousticImager.image_batch` equal to
+    :meth:`AcousticImager.images`) and each beep's ``(K, M, M)``
+    temporaries stay cache-sized; vectorising over L measured slower.
     """
-    _beamform_segments(analytic, weights, gather, beamformed, weight_scratch)
-    energies = np.empty(gather.order.size)
-    energies[gather.order] = np.einsum(
-        "ks,ks->k", beamformed, beamformed.conj(), optimize=True
-    ).real
+    energies = np.empty(weights.shape[:2])
+    for beep, beep_weights in enumerate(weights):
+        windows = np.moveaxis(analytic[beep][:, gather.samples], 0, 1)
+        covariance = windows @ windows.conj().swapaxes(-1, -2)  # (G, M, M)
+        # R_g w_k per grid, then Re(w_k^H (R_g w_k)) as a real dot product.
+        projected = covariance[gather.window_of] @ beep_weights[..., None]
+        energies[beep] = np.einsum(
+            "kf,kf->k", projected[..., 0].view(float), beep_weights.view(float)
+        )
     return energies
 
 
-def _stackable(recordings: list[BeepRecording]) -> bool:
-    """Whether all captures share one shape and sample rate."""
-    first = recordings[0]
-    return all(
-        rec.samples.shape == first.samples.shape
-        and rec.sample_rate == first.sample_rate
-        for rec in recordings[1:]
-    )
-
-
-_STEERING_SUPPORT: dict[type, bool] = {}
-
-
-def _accepts_steering(beamformer: Beamformer) -> bool:
-    """Whether ``weights_batch`` takes a precomputed ``steering=`` matrix.
-
-    Custom beamformers from older ``beamformer_factory`` overrides may
-    still use the two-argument signature; they silently fall back to the
-    uncached path instead of crashing.
-    """
-    kind = type(beamformer)
-    supported = _STEERING_SUPPORT.get(kind)
-    if supported is None:
-        try:
-            parameters = inspect.signature(kind.weights_batch).parameters
-            supported = "steering" in parameters or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in parameters.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            supported = False
-        _STEERING_SUPPORT[kind] = supported
-    return supported
+def _dynamic_range_db(pixels: np.ndarray) -> float:
+    """Brightest pixel over the median floor, in dB."""
+    floor = float(np.median(pixels)) + 1e-30
+    return float(20.0 * np.log10(float(pixels.max()) / floor + 1e-30))

@@ -24,6 +24,7 @@ from repro.core.authenticator import (
 from repro.core.distance import DistanceEstimate, DistanceEstimator
 from repro.core.enrollment import build_training_features, stack_user_features
 from repro.core.features import FeatureExtractor
+from repro.core.frontend import AttemptSignals
 from repro.core.imaging import AcousticImager, ImagingPlane
 from repro.core.telemetry import pipeline_metrics
 from repro.obs import (
@@ -117,8 +118,8 @@ class EchoImagePipeline:
             :meth:`~repro.core.imaging.AcousticImager.image_batch`
             instead of the sequential per-beep loop.  Outputs are
             bit-identical (the golden harness under ``tests/golden``
-            enforces this); the batched path amortises the filter-bank
-            front end across the attempt's beeps.  Default off so the
+            enforces this); the batched path runs the range-gating
+            kernel once over the attempt's beeps.  Default off so the
             seed pipeline stays byte-for-byte the paper's loop; the
             serving layer (:mod:`repro.serve`) turns it on.
 
@@ -209,18 +210,32 @@ class EchoImagePipeline:
         Returns:
             ``(images, plane)`` — one image per beep plus the plane used.
         """
+        signals = AttemptSignals(recordings)
         if distance_m is None:
-            distance_m = self.estimate_distance(recordings).user_distance_m
+            distance_m = self.distance_estimator.estimate(
+                recordings, signals
+            ).user_distance_m
         plane = self.imaging_plane(distance_m)
-        return self._image(recordings, plane), plane
+        return self._image(recordings, plane, signals), plane
+
+    def _locate(
+        self, recordings: list[BeepRecording]
+    ) -> tuple[AttemptSignals, DistanceEstimate, ImagingPlane]:
+        """An attempt's shared front end, distance estimate and plane."""
+        signals = AttemptSignals(recordings)
+        distance = self.distance_estimator.estimate(recordings, signals)
+        return signals, distance, self.imaging_plane(distance.user_distance_m)
 
     def _image(
-        self, recordings: list[BeepRecording], plane: ImagingPlane
+        self,
+        recordings: list[BeepRecording],
+        plane: ImagingPlane,
+        signals: AttemptSignals,
     ) -> list[np.ndarray]:
         """Image an attempt through the configured imaging path."""
         if self.batched_imaging:
-            return self.imager.image_batch(recordings, plane)
-        return self.imager.images(recordings, plane)
+            return self.imager.image_batch(recordings, plane, signals)
+        return self.imager.images(recordings, plane, signals)
 
     # ------------------------------------------------------------------
     # Enrollment
@@ -357,9 +372,8 @@ class EchoImagePipeline:
                 with trace(
                     "authenticate", num_beeps=len(recordings)
                 ) as root:
-                    distance = self.estimate_distance(recordings)
-                    plane = self.imaging_plane(distance.user_distance_m)
-                    images = self._image(recordings, plane)
+                    signals, distance, plane = self._locate(recordings)
+                    images = self._image(recordings, plane, signals)
                     features = self.feature_extractor.extract(images)
                     if store is not None:
                         collector = StageCollector(
@@ -448,6 +462,9 @@ class EchoImagePipeline:
         both paths: ranging averages the beep envelopes (Eq. 10) and is
         cheap, and sharing it keeps the imaging plane — and therefore
         the consumed-prefix features — identical to the batch path.
+        Each beep is imaged from its one-beep view of the attempt's
+        shared front end (:class:`~repro.core.frontend.AttemptSignals`),
+        which ranging has already filtered.
 
         Args:
             recordings: Beep captures of the attempt.
@@ -474,8 +491,7 @@ class EchoImagePipeline:
                     num_beeps=len(recordings),
                     streaming=True,
                 ) as root:
-                    distance = self.estimate_distance(recordings)
-                    plane = self.imaging_plane(distance.user_distance_m)
+                    signals, distance, plane = self._locate(recordings)
                     if self._multi_auth is not None:
                         stream = self._multi_auth.begin_stream()
                     else:
@@ -485,7 +501,9 @@ class EchoImagePipeline:
                     early = False
                     for index, recording in enumerate(recordings):
                         with trace("stream.beep", beep_index=index) as beep:
-                            images = self._image([recording], plane)
+                            images = self._image(
+                                [recording], plane, signals.beep(index)
+                            )
                             row = self.feature_extractor.extract(images)
                             rows.append(row)
                             if store is not None:

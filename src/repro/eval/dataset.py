@@ -25,6 +25,7 @@ from repro.array.geometry import MicrophoneArray, respeaker_array
 from repro.body.subject import SessionConditions, SyntheticSubject
 from repro.config import EchoImageConfig
 from repro.core.distance import DistanceEstimationError, DistanceEstimator
+from repro.core.frontend import AttemptSignals
 from repro.core.imaging import AcousticImager, ImagingPlane
 from repro.obs import start_trace, trace
 from repro.signal.chirp import LFMChirp
@@ -229,14 +230,15 @@ class DatasetBuilder:
             num_beeps=spec.num_beeps,
             environment=spec.environment,
         ):
+            signals = AttemptSignals(recordings)
             try:
-                estimate = self._estimator.estimate(recordings)
+                estimate = self._estimator.estimate(recordings, signals)
                 distance = estimate.user_distance_m
             except DistanceEstimationError:
                 distance = spec.distance_m
             distance = float(np.clip(distance, 0.2, 4.0))
             plane = ImagingPlane.from_config(distance, self.config.imaging)
-            images = self._imager.images(recordings, plane)
+            images = self._imager.images(recordings, plane, signals)
         return SessionImages(
             subject_id=subject.subject_id,
             images=images,

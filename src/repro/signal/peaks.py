@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -57,29 +58,29 @@ def find_local_maxima(
         raise ValueError("min_separation_s must be non-negative")
 
     window = max(1, round(min_separation_s * sample_rate))
-    candidates: list[LocalMaximum] = []
-    index = 0
-    while index < values.size:
-        value = values[index]
-        if value <= threshold:
-            index += 1
+    # A candidate exceeds the threshold, equals the maximum of its
+    # +-window neighbourhood and starts its plateau.
+    padded = np.full(values.size + 2 * window, -np.inf)
+    padded[window:-window] = values
+    windows = sliding_window_view(padded, 2 * window + 1)
+    neighbourhood_max = windows.max(axis=-1)
+    first_of_plateau = np.ones(values.size, dtype=bool)
+    first_of_plateau[1:] = values[:-1] < values[1:]
+    candidates = np.flatnonzero(
+        (values > threshold) & (values >= neighbourhood_max) & first_of_plateau
+    )
+    maxima: list[LocalMaximum] = []
+    next_allowed = 0
+    for index in candidates.tolist():
+        if index < next_allowed:
             continue
-        lo = max(0, index - window)
-        hi = min(values.size, index + window + 1)
-        neighbourhood = values[lo:hi]
-        if value >= neighbourhood.max() and _is_first_of_plateau(values, index):
-            candidates.append(
-                LocalMaximum(
-                    index=index, time_s=index / sample_rate, value=float(value)
-                )
+        maxima.append(
+            LocalMaximum(
+                index=index,
+                time_s=index / sample_rate,
+                value=float(values[index]),
             )
-            # No other sample within the window can also dominate it.
-            index += window
-        else:
-            index += 1
-    return candidates
-
-
-def _is_first_of_plateau(values: np.ndarray, index: int) -> bool:
-    """True when ``index`` is not preceded by an equal-valued neighbour."""
-    return index == 0 or values[index - 1] < values[index]
+        )
+        # No other sample within the window can also dominate it.
+        next_allowed = index + window
+    return maxima

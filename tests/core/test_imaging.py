@@ -227,3 +227,154 @@ class TestSteeringCache:
         assert theta_a is theta_b
         with pytest.raises(ValueError):
             theta_a[0] = 0.0
+
+
+def _segment_starts(plane, recording, config, speed_of_sound=343.0):
+    """Each grid's clamped window start, from the plane geometry alone."""
+    fs = recording.sample_rate
+    delays = 2.0 * plane.grid_ranges() / speed_of_sound
+    centers = recording.emit_index + np.round(delays * fs).astype(int)
+    half = max(1, round(config.safeguard_s * fs))
+    length = 2 * half + 1
+    starts = np.clip(centers - half, 0, recording.num_samples - 1)
+    return np.minimum(starts, recording.num_samples - length), length
+
+
+def _explicit_energies(analytic, weights, starts, length):
+    """Gather ``(K, M, S)`` segments, beamform, then sum ``|.|^2``."""
+    segments = np.stack(
+        [analytic[:, start : start + length] for start in starts]
+    )  # (K, M, S)
+    beamformed = np.einsum("km,kms->ks", weights.conj(), segments)
+    return np.sum(np.abs(beamformed) ** 2, axis=-1)
+
+
+class TestRangeGatingKernel:
+    """The windowed-covariance kernel against explicit segment energies."""
+
+    # Near: the default plane.  Far: corners whose round trip runs past
+    # the 50 ms capture, so their windows clamp at the capture edge.
+    PLANES = {
+        "near": dict(distance_m=0.7, side_m=1.8, resolution=12),
+        "clamped": dict(distance_m=7.5, side_m=6.0, resolution=12),
+    }
+
+    @pytest.fixture
+    def attempt(self, quiet_scene, chirp, subject, rng):
+        return quiet_scene.record_beeps(
+            chirp, subject.beep_clouds(0.7, 3, rng), rng
+        )
+
+    @pytest.mark.parametrize("plane_name", sorted(PLANES))
+    @pytest.mark.parametrize("subbands", [1, 3])
+    def test_pixels_match_explicit_reference(
+        self, array, attempt, plane_name, subbands
+    ):
+        from repro.array.beamforming import MVDRBeamformer
+        from repro.array.covariance import estimate_noise_covariance
+        from repro.signal.analytic import analytic_signal
+
+        config = ImagingConfig(subbands=subbands)
+        imager = AcousticImager(array, config=config)
+        plane = ImagingPlane(**self.PLANES[plane_name])
+        starts, length = _segment_starts(plane, attempt[0], config)
+        if plane_name == "clamped":
+            assert np.any(starts == attempt[0].num_samples - length)
+        theta, phi = plane.grid_angles()
+        images = imager.images(attempt, plane)
+        for recording, image in zip(attempt, images):
+            energies = []
+            for band, bandpass in enumerate(imager._bandpasses):
+                analytic = analytic_signal(bandpass.apply(recording.samples))
+                beamformer = MVDRBeamformer(
+                    array=array,
+                    frequency_hz=float(
+                        imager._subband_edges[band]
+                        + imager._subband_edges[band + 1]
+                    )
+                    / 2.0,
+                    noise_covariance=estimate_noise_covariance(
+                        analytic, noise_samples=recording.emit_index
+                    ),
+                    loading=config.diagonal_loading,
+                )
+                energies.append(
+                    _explicit_energies(
+                        analytic,
+                        beamformer.weights_batch(theta, phi),
+                        starts,
+                        length,
+                    )
+                )
+            expected = np.sqrt(np.mean(energies, axis=0))
+            np.testing.assert_allclose(
+                image.ravel(), expected, rtol=1e-12, atol=0.0
+            )
+
+    @pytest.mark.parametrize("plane_name", sorted(PLANES))
+    def test_kernel_matches_explicit_on_random_input(self, array, plane_name):
+        from repro.acoustics.scene import BeepRecording
+        from repro.core.imaging import _grid_energies
+
+        rng = np.random.default_rng(13)
+        num_beeps, num_mics, num_samples = 3, array.num_mics, 2_400
+        recording = BeepRecording(
+            samples=np.zeros((num_mics, num_samples)),
+            sample_rate=48_000,
+            emit_index=240,
+        )
+        imager = AcousticImager(array)
+        plane = ImagingPlane(**self.PLANES[plane_name])
+        gather = imager._segment_gather(plane, recording)
+        shape = (num_beeps, num_mics, num_samples)
+        analytic = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        shape = (num_beeps, plane.num_grids, num_mics)
+        weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        starts, length = _segment_starts(plane, recording, imager.config)
+        energies = _grid_energies(analytic, weights, gather)
+        for beep in range(num_beeps):
+            np.testing.assert_allclose(
+                energies[beep],
+                _explicit_energies(
+                    analytic[beep], weights[beep], starts, length
+                ),
+                rtol=1e-12,
+                atol=0.0,
+            )
+
+    @pytest.mark.parametrize("plane_name", sorted(PLANES))
+    @pytest.mark.parametrize("subbands", [1, 3])
+    def test_batched_call_bitwise_equals_single_beep_calls(
+        self, array, attempt, plane_name, subbands
+    ):
+        from repro.core.frontend import AttemptSignals
+        from repro.core.imaging import _grid_energies
+
+        imager = AcousticImager(array, config=ImagingConfig(subbands=subbands))
+        plane = ImagingPlane(**self.PLANES[plane_name])
+        signals = AttemptSignals(attempt)
+        gather = imager._segment_gather(plane, attempt[0])
+        theta, phi = plane.grid_angles()
+        for band, bandpass in enumerate(imager._bandpasses):
+            analytic = signals.analytic(bandpass)
+            weights = np.stack(
+                [
+                    imager._band_weights(
+                        signals.noise_covariance(bandpass, beep),
+                        plane,
+                        2_500.0,
+                        band,
+                    )[0]
+                    for beep in range(len(attempt))
+                ]
+            )
+            batched = _grid_energies(analytic, weights, gather)
+            for beep in range(len(attempt)):
+                single = _grid_energies(
+                    analytic[beep][None], weights[beep][None], gather
+                )
+                assert np.array_equal(batched[beep], single[0])
+        assert np.array_equal(
+            np.stack(imager.image_batch(attempt, plane)),
+            np.stack(imager.images(attempt, plane)),
+        )
