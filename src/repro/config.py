@@ -541,9 +541,6 @@ class ServingConfig:
             that have not finished when it expires are reported as
             ``timeout`` failures; their work is abandoned, not
             interrupted.
-        batched_imaging: Image each attempt's beeps through
-            :meth:`repro.core.imaging.AcousticImager.image_batch` instead
-            of the sequential per-beep loop.
         degrade_on_error: Retry failed requests down the degradation
             ladder (fewer beeps, then a coarser grid) before reporting
             failure.
@@ -561,7 +558,6 @@ class ServingConfig:
     backend: str = "thread"
     max_workers: int = 0
     timeout_s: float = 30.0
-    batched_imaging: bool = True
     degrade_on_error: bool = True
 
     def __post_init__(self) -> None:
@@ -588,9 +584,10 @@ class ServingConfig:
 class ExitPolicy:
     """Early-exit policy for streaming authentication.
 
-    :meth:`repro.core.pipeline.EchoImagePipeline.authenticate_streaming`
-    images and scores beeps one at a time and stops consuming further
-    beeps once the running aggregate clears this policy.  The exit check
+    Under an enabled policy
+    :meth:`repro.core.pipeline.EchoImagePipeline.authenticate` images
+    and scores beeps one at a time and stops consuming further beeps
+    once the running aggregate clears this policy.  The exit check
     is three-way conjunctive at beep ``i`` (1-based):
 
     - ``i >= min_beeps``;
@@ -599,10 +596,11 @@ class ExitPolicy:
       unanimous label is an accept, ``mean(svm prefix margins) >=
       margin_threshold``.
 
-    The defaults (``score_threshold = inf``) never exit, which makes the
-    streaming path reproduce the batch decision bit-for-bit — the
-    disabled policy is the correctness anchor that the property tests
-    pin.
+    The defaults (``score_threshold = inf``) never exit: a disabled
+    policy reads the whole attempt in one chunk, exactly as no policy
+    does.  A policy that is enabled but never fires reads it beep by
+    beep and still reproduces that decision bit-for-bit — the property
+    tests pin it.
 
     Attributes:
         min_beeps: Never exit before this many beeps have been scored.

@@ -79,10 +79,9 @@ class AuthenticationResult:
             same id appears on the attempt's trace, drift alerts and
             audit-ledger entry.
         beeps_used: How many beeps the decision actually consumed — the
-            attempt length for the batch path, possibly fewer for
-            :meth:`EchoImagePipeline.authenticate_streaming`.
-        early_exit: Whether the streaming path stopped before consuming
-            every beep (always ``False`` on the batch path).
+            attempt length unless an early-exit policy fired.
+        early_exit: Whether an early-exit policy stopped the attempt
+            before its last beep.
 
     Example:
         Inspect where an attempt spent its time::
@@ -346,75 +345,128 @@ class EchoImagePipeline:
     # ------------------------------------------------------------------
 
     def authenticate(
-        self, recordings: list[BeepRecording]
+        self,
+        recordings: list[BeepRecording],
+        exit_policy: ExitPolicy | None = None,
     ) -> AuthenticationResult:
         """Authenticate one attempt (several beeps) by majority vote.
 
+        The attempt is read in chunks, each under one ``stream.beep``
+        span, and the policy sets the chunk size.  With no policy or a
+        disabled one (``score_threshold = inf``) the whole attempt is
+        one chunk: one imaging call, one feature extraction, one
+        decision.  A policy that can fire reads one beep per chunk from
+        its view of the attempt's shared front end
+        (:class:`~repro.core.frontend.AttemptSignals`), pushes each
+        feature row into a decision stream, and stops once the running
+        aggregate clears the policy (see :class:`repro.config.ExitPolicy`)
+        — the remaining beeps are never imaged.
+
+        Exactness contract: the final decision always comes from one
+        batch ``decide`` call over the consumed feature rows — the
+        incremental per-beep scores drive only the exit check, because
+        per-row kernel evaluation is ULP-close but not bitwise equal to
+        the batch GEMM.  Per-beep imaging and feature extraction *are*
+        bitwise equal to the one-chunk path, so a policy that never
+        fires reproduces the policy-free decision, scores and margins
+        bit-for-bit (pinned by ``tests/serve/test_streaming_properties.py``).
+
+        The distance estimate always uses the *full* attempt: ranging
+        averages the beep envelopes (Eq. 10) and is cheap, and sharing
+        it keeps the imaging plane — and therefore the consumed-prefix
+        features — identical for every chunk size.
+
         Args:
             recordings: Beep captures of the attempt.
+            exit_policy: Early-exit policy; ``None`` for a plain
+                attempt.  A capture records the attempt as a
+                ``"stream"`` whenever a policy is given.
 
         Returns:
             The :class:`AuthenticationResult`, whose ``trace`` field holds
-            the per-attempt stage breakdown.
+            the per-attempt stage breakdown and whose ``beeps_used`` /
+            ``early_exit`` describe how much of the attempt was consumed.
 
         Raises:
             RuntimeError: When no enrollment has happened yet.
         """
-        if self._multi_auth is None and self._single_auth is None:
+        auth = self._multi_auth if self._multi_auth is not None else (
+            self._single_auth
+        )
+        if auth is None:
             raise RuntimeError(
                 "no users enrolled; call enroll_user or enroll_users first"
             )
+        stream = None
         margins: tuple = ()
         store = get_capture_store()
         collector = None
-        with correlation_scope(current_request_id()) as request_id:
-            with start_trace() as attempt_trace:
-                with trace(
-                    "authenticate", num_beeps=len(recordings)
-                ) as root:
-                    signals, distance, plane = self._locate(recordings)
-                    images = self._image(recordings, plane, signals)
-                    features = self.feature_extractor.extract(images)
-                    if store is not None:
-                        collector = StageCollector(
-                            root, store.capture_arrays
+        with (
+            correlation_scope(current_request_id()) as request_id,
+            start_trace() as attempt_trace,
+            trace("authenticate", num_beeps=len(recordings)) as root,
+        ):
+            signals, distance, plane = self._locate(recordings)
+            if exit_policy is not None and exit_policy.enabled:
+                stream = auth.begin_stream()
+                chunks = (
+                    ([recording], signals.beep(index))
+                    for index, recording in enumerate(recordings)
+                )
+            else:
+                chunks = [(recordings, signals)]
+            images: list[np.ndarray] = []
+            rows: list[np.ndarray] = []
+            for chunk, chunk_signals in chunks:
+                with trace("stream.beep", beep_index=len(images)) as span:
+                    chunk_images = self._image(chunk, plane, chunk_signals)
+                    rows.append(self.feature_extractor.extract(chunk_images))
+                    images.extend(chunk_images)
+                    if stream is not None:
+                        snapshot = stream.push(rows[-1])
+                        span.update(
+                            mean_score=snapshot.mean_score,
+                            unanimous=snapshot.unanimous,
                         )
-                        collector.stamp(
-                            "distance", _distance_vector(distance)
-                        )
-                        collector.stamp("images", np.stack(images))
-                        collector.stamp("features", features)
+                if stream is not None and _should_exit(exit_policy, snapshot):
+                    break
+            features = np.concatenate(rows, axis=0)
+            early = len(images) < len(recordings)
+            if store is not None:
+                collector = StageCollector(root, store.capture_arrays)
+                collector.stamp("distance", _distance_vector(distance))
+                collector.stamp("images", np.stack(images))
+                collector.stamp("features", features)
 
-                    if self._multi_auth is not None:
-                        labels, scores, raw_margins = (
-                            self._multi_auth.decide_detailed(features)
-                        )
-                        per_beep = tuple(labels.tolist())
-                        margins = tuple(float(m) for m in raw_margins)
-                    else:
-                        accepted, scores = self._single_auth.decide(features)
-                        per_beep = tuple(
-                            "user" if flag else SPOOFER_LABEL
-                            for flag in accepted
-                        )
+            if self._multi_auth is not None:
+                labels, scores, raw_margins = (
+                    self._multi_auth.decide_detailed(features)
+                )
+                per_beep = tuple(labels.tolist())
+                margins = tuple(float(m) for m in raw_margins)
+            else:
+                accepted, scores = self._single_auth.decide(features)
+                per_beep = tuple(
+                    "user" if flag else SPOOFER_LABEL for flag in accepted
+                )
 
-                    label = _majority(per_beep)
-                    if collector is not None:
-                        collector.stamp(
-                            "scores", np.asarray(scores, dtype=float)
-                        )
-                        if margins:
-                            collector.stamp(
-                                "margins",
-                                np.asarray(margins, dtype=float),
-                            )
-                        collector.stamp("labels", list(per_beep))
-                    root.update(
-                        label=str(label), accepted=label != SPOOFER_LABEL
+            label = _majority(per_beep)
+            if collector is not None:
+                collector.stamp("scores", np.asarray(scores, dtype=float))
+                if margins:
+                    collector.stamp(
+                        "margins", np.asarray(margins, dtype=float)
                     )
-                    alerts = self._record_attempt(
-                        label != SPOOFER_LABEL, scores, distance
-                    )
+                collector.stamp("labels", list(per_beep))
+            root.update(
+                label=str(label),
+                accepted=label != SPOOFER_LABEL,
+                beeps_used=len(images),
+                early_exit=early,
+            )
+            alerts = self._record_attempt(
+                label != SPOOFER_LABEL, scores, distance
+            )
         result = AuthenticationResult(
             label=label,
             accepted=label != SPOOFER_LABEL,
@@ -425,12 +477,12 @@ class EchoImagePipeline:
             drift_alerts=alerts,
             margins=margins,
             request_id=request_id,
-            beeps_used=len(recordings),
-            early_exit=False,
+            beeps_used=len(images),
+            early_exit=early,
         )
         if store is not None:
             self._record_capture(
-                store, result, collector, tuple(recordings), None
+                store, result, collector, tuple(recordings), exit_policy
             )
         return result
 
@@ -439,147 +491,12 @@ class EchoImagePipeline:
         recordings: list[BeepRecording],
         exit_policy: ExitPolicy | None = None,
     ) -> AuthenticationResult:
-        """Authenticate by feeding beeps incrementally with early exit.
+        """:meth:`authenticate` under an early-exit policy.
 
-        Beeps are imaged, featurised and scored one at a time; once the
-        running per-beep aggregate clears ``exit_policy`` (see
-        :class:`repro.config.ExitPolicy`) the remaining beeps are never
-        imaged — imaging dominates per-attempt cost, so exiting after
-        beep ``k`` of ``L`` saves roughly ``(L - k)/L`` of it.
-
-        Exactness contract: the *final* decision always comes from one
-        batch ``decide`` call over the consumed feature rows — the
-        incremental per-beep scores drive only the exit check, because
-        per-row kernel evaluation is ULP-close but not bitwise equal to
-        the batch GEMM.  Per-beep imaging and feature extraction *are*
-        bitwise equal to the batch path, so with the policy disabled
-        (``score_threshold = inf``, the default) this method consumes
-        every beep and reproduces :meth:`authenticate` exactly —
-        decision, scores and margins bit-for-bit (pinned by
-        ``tests/serve/test_streaming_properties.py``).
-
-        The distance estimate intentionally uses the *full* attempt in
-        both paths: ranging averages the beep envelopes (Eq. 10) and is
-        cheap, and sharing it keeps the imaging plane — and therefore
-        the consumed-prefix features — identical to the batch path.
-        Each beep is imaged from its one-beep view of the attempt's
-        shared front end (:class:`~repro.core.frontend.AttemptSignals`),
-        which ranging has already filtered.
-
-        Args:
-            recordings: Beep captures of the attempt.
-            exit_policy: Early-exit policy; ``None`` uses the default
-                (disabled) policy.
-
-        Returns:
-            The :class:`AuthenticationResult`, with ``beeps_used`` /
-            ``early_exit`` describing how much of the attempt was
-            consumed.
+        ``None`` uses the default (disabled) :class:`ExitPolicy`, which
+        consumes every beep; the capture is recorded as a ``"stream"``.
         """
-        if self._multi_auth is None and self._single_auth is None:
-            raise RuntimeError(
-                "no users enrolled; call enroll_user or enroll_users first"
-            )
-        policy = exit_policy or ExitPolicy()
-        margins: tuple = ()
-        store = get_capture_store()
-        collector = None
-        with correlation_scope(current_request_id()) as request_id:
-            with start_trace() as attempt_trace:
-                with trace(
-                    "authenticate",
-                    num_beeps=len(recordings),
-                    streaming=True,
-                ) as root:
-                    signals, distance, plane = self._locate(recordings)
-                    if self._multi_auth is not None:
-                        stream = self._multi_auth.begin_stream()
-                    else:
-                        stream = self._single_auth.begin_stream()
-                    rows: list[np.ndarray] = []
-                    consumed_images: list[np.ndarray] = []
-                    early = False
-                    for index, recording in enumerate(recordings):
-                        with trace("stream.beep", beep_index=index) as beep:
-                            images = self._image(
-                                [recording], plane, signals.beep(index)
-                            )
-                            row = self.feature_extractor.extract(images)
-                            rows.append(row)
-                            if store is not None:
-                                consumed_images.extend(images)
-                            snapshot = stream.push(row)
-                            beep.update(
-                                mean_score=snapshot.mean_score,
-                                unanimous=snapshot.unanimous,
-                            )
-                        if _should_exit(policy, snapshot):
-                            early = index + 1 < len(recordings)
-                            break
-                    features = np.concatenate(rows, axis=0)
-                    if store is not None:
-                        collector = StageCollector(
-                            root, store.capture_arrays
-                        )
-                        collector.stamp(
-                            "distance", _distance_vector(distance)
-                        )
-                        collector.stamp(
-                            "images", np.stack(consumed_images)
-                        )
-                        collector.stamp("features", features)
-
-                    if self._multi_auth is not None:
-                        labels, scores, raw_margins = (
-                            self._multi_auth.decide_detailed(features)
-                        )
-                        per_beep = tuple(labels.tolist())
-                        margins = tuple(float(m) for m in raw_margins)
-                    else:
-                        accepted, scores = self._single_auth.decide(features)
-                        per_beep = tuple(
-                            "user" if flag else SPOOFER_LABEL
-                            for flag in accepted
-                        )
-
-                    label = _majority(per_beep)
-                    if collector is not None:
-                        collector.stamp(
-                            "scores", np.asarray(scores, dtype=float)
-                        )
-                        if margins:
-                            collector.stamp(
-                                "margins",
-                                np.asarray(margins, dtype=float),
-                            )
-                        collector.stamp("labels", list(per_beep))
-                    root.update(
-                        label=str(label),
-                        accepted=label != SPOOFER_LABEL,
-                        beeps_used=len(rows),
-                        early_exit=early,
-                    )
-                    alerts = self._record_attempt(
-                        label != SPOOFER_LABEL, scores, distance
-                    )
-        result = AuthenticationResult(
-            label=label,
-            accepted=label != SPOOFER_LABEL,
-            distance=distance,
-            per_beep_labels=per_beep,
-            trace=attempt_trace,
-            scores=tuple(float(s) for s in scores),
-            drift_alerts=alerts,
-            margins=margins,
-            request_id=request_id,
-            beeps_used=len(rows),
-            early_exit=early,
-        )
-        if store is not None:
-            self._record_capture(
-                store, result, collector, tuple(recordings), policy
-            )
-        return result
+        return self.authenticate(recordings, exit_policy or ExitPolicy())
 
     def _record_capture(
         self,

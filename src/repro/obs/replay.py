@@ -348,13 +348,9 @@ def replay_request(
     memory = CaptureStore(max_captures=2)
     previous = set_capture_store(memory)
     try:
-        recordings = list(capture.recordings)
-        if capture.exit_policy is not None:
-            result = pipeline.authenticate_streaming(
-                recordings, capture.exit_policy
-            )
-        else:
-            result = pipeline.authenticate(recordings)
+        result = pipeline.authenticate(
+            list(capture.recordings), capture.exit_policy
+        )
     finally:
         set_capture_store(previous)
     replayed = memory.get(result.request_id)

@@ -29,10 +29,11 @@ record pipeline metrics and traces straight into the parent's global
 registry/sinks.  Process workers cannot — their increments land in the
 worker interpreter and would be silently lost — so ``_process_run``
 collects each request's telemetry into a fresh per-request registry and
-ships the delta (plus the serialised traces) back piggybacked on the
-:class:`~repro.serve.requests.AuthenticationResponse`; the parent merges
-the delta into its registry and replays the traces through the sink API,
-making all three backends report identical totals.
+ships the delta, the serialised traces and any captures back in one
+:class:`~repro.serve.requests.WorkerTelemetry` envelope on the
+response; the parent merges the delta into its registry, replays the
+traces through the sink API and records the captures, making all three
+backends report identical totals.
 
 **Flight recorder.**  Every completed batch is written into the
 process-wide :class:`~repro.obs.FlightRecorder` (request records plus
@@ -88,23 +89,15 @@ from repro.serve.requests import (
     STATUS_TIMEOUT,
     AuthenticationRequest,
     AuthenticationResponse,
+    WorkerTelemetry,
 )
 
-#: Signature of the pipeline-construction seam: ``(bundle, config,
-#: batched_imaging) -> pipeline``.  Tests inject crashing/hanging
-#: pipelines through it; production leaves it at
-#: :meth:`ModelBundle.build_pipeline`.
+#: Signature of the pipeline-construction seam: ``(bundle, config) ->
+#: pipeline``.  Tests inject crashing/hanging pipelines through it;
+#: production leaves it at :meth:`ModelBundle.build_pipeline`.
 PipelineFactory = Callable[
-    [ModelBundle, EchoImageConfig | None, bool], EchoImagePipeline
+    [ModelBundle, EchoImageConfig | None], EchoImagePipeline
 ]
-
-
-def _default_factory(
-    bundle: ModelBundle,
-    config: EchoImageConfig | None,
-    batched_imaging: bool,
-) -> EchoImagePipeline:
-    return bundle.build_pipeline(config, batched_imaging=batched_imaging)
 
 
 class _WorkerRuntime:
@@ -121,13 +114,11 @@ class _WorkerRuntime:
         self,
         bundle: ModelBundle,
         policy: DegradationPolicy,
-        batched_imaging: bool,
         degrade_on_error: bool,
         factory: PipelineFactory,
     ) -> None:
         self.bundle = bundle
         self.policy = policy
-        self.batched_imaging = batched_imaging
         self.degrade_on_error = degrade_on_error
         self.factory = factory
         self._pipelines: dict[str | None, EchoImagePipeline] = {}
@@ -139,7 +130,7 @@ class _WorkerRuntime:
             config = None if step is None else step.scale_config(
                 self.bundle.config
             )
-            pipeline = self.factory(self.bundle, config, self.batched_imaging)
+            pipeline = self.factory(self.bundle, config)
             self._pipelines[key] = pipeline
         return pipeline
 
@@ -156,10 +147,9 @@ class _WorkerRuntime:
         travels with the pickled request, which is what keeps serial,
         thread and process runs identically correlated.
 
-        When ``exit_policy`` is given the full-fidelity attempt runs the
-        streaming early-exit path; degradation-ladder retries always run
-        the plain batch pipeline, so a response can carry ``early_exit``
-        or ``degradation`` but never both.
+        The full-fidelity attempt runs under ``exit_policy``;
+        degradation-ladder retries always run without one, so a response
+        can carry ``early_exit`` or ``degradation`` but never both.
         """
         with correlation_scope(request.request_id):
             return self._run_correlated(request, exit_policy)
@@ -171,13 +161,9 @@ class _WorkerRuntime:
     ) -> AuthenticationResponse:
         start = perf_counter()
         try:
-            pipeline = self._pipeline(None)
-            if exit_policy is not None:
-                result = pipeline.authenticate_streaming(
-                    list(request.recordings), exit_policy
-                )
-            else:
-                result = pipeline.authenticate(list(request.recordings))
+            result = self._pipeline(None).authenticate(
+                list(request.recordings), exit_policy
+            )
             return AuthenticationResponse(
                 request_id=request.request_id,
                 status=STATUS_OK,
@@ -224,12 +210,11 @@ _PROCESS_RUNTIME: _WorkerRuntime | None = None
 def _init_process_worker(
     bundle: ModelBundle,
     policy: DegradationPolicy,
-    batched_imaging: bool,
     degrade_on_error: bool,
 ) -> None:
     global _PROCESS_RUNTIME
     _PROCESS_RUNTIME = _WorkerRuntime(
-        bundle, policy, batched_imaging, degrade_on_error, _default_factory
+        bundle, policy, degrade_on_error, ModelBundle.build_pipeline
     )
 
 
@@ -242,18 +227,16 @@ def _process_run(
 
     The request runs against a fresh, empty metrics registry and a
     trace-collecting sink, so the registry snapshot afterwards *is* the
-    request's metric delta.  Both ride back to the parent on the
-    response (see ``BatchAuthenticator._finalize_response``).  When the
-    parent has a capture store installed it asks for ``capture``: the
-    request then also runs against a fresh in-memory
-    :class:`~repro.obs.CaptureStore`, whose drained captures ride home
-    on ``capture_payloads`` the same way the metric delta does.
+    request's metric delta.  When the parent has a capture store
+    installed it asks for ``capture``: the request then also runs
+    against a fresh in-memory :class:`~repro.obs.CaptureStore`.  All of
+    it rides back to the parent in one :class:`WorkerTelemetry` envelope
+    (see ``BatchAuthenticator._finalize_response``).
     """
     assert _PROCESS_RUNTIME is not None, "pool initializer did not run"
     fresh = MetricsRegistry()
     captured: list[PipelineTrace] = []
     previous = set_registry(fresh)
-    capture_payloads: tuple = ()
     memory_store = CaptureStore(max_captures=4) if capture else None
     previous_store = (
         set_capture_store(memory_store) if capture else None
@@ -266,14 +249,12 @@ def _process_run(
         if capture:
             set_capture_store(previous_store)
         set_registry(previous)
-    if memory_store is not None:
-        capture_payloads = tuple(memory_store.drain())
-    return replace(
-        response,
-        metrics_delta=fresh.snapshot(),
-        worker_traces=tuple(t.to_dict() for t in captured if t),
-        capture_payloads=capture_payloads,
+    telemetry = WorkerTelemetry(
+        metrics=fresh.snapshot(),
+        traces=tuple(t.to_dict() for t in captured if t),
+        captures=tuple(memory_store.drain()) if capture else (),
     )
+    return replace(response, telemetry=telemetry)
 
 
 class BatchAuthenticator:
@@ -314,7 +295,7 @@ class BatchAuthenticator:
         self.bundle = bundle
         self.config = config or ServingConfig()
         self.policy = policy or DegradationPolicy()
-        self._factory = pipeline_factory or _default_factory
+        self._factory = pipeline_factory or ModelBundle.build_pipeline
         self._recorder = recorder
         self._closed = False
         if (
@@ -337,7 +318,6 @@ class BatchAuthenticator:
         return _WorkerRuntime(
             self.bundle,
             self.policy,
-            self.config.batched_imaging,
             self.config.degrade_on_error,
             self._factory,
         )
@@ -370,7 +350,6 @@ class BatchAuthenticator:
                 initargs=(
                     self.bundle,
                     self.policy,
-                    self.config.batched_imaging,
                     self.config.degrade_on_error,
                 ),
             )
@@ -539,35 +518,28 @@ class BatchAuthenticator:
     def _finalize_response(
         self, response: AuthenticationResponse
     ) -> AuthenticationResponse:
-        """Apply (and strip) a process worker's telemetry piggyback.
+        """Apply (and strip) a process worker's telemetry envelope.
 
         The worker's metric delta is merged into the parent's global
         registry — counters and histograms add, gauges are last-write —
-        and its traces are replayed through the parent's sink API, so
-        the ``process`` backend reports the same totals as ``serial``
-        and ``thread``.  Thread/serial responses carry no piggyback and
-        pass through untouched.
+        its traces are replayed through the parent's sink API and its
+        captures recorded into the parent's store, so the ``process``
+        backend reports the same totals as ``serial`` and ``thread``.
+        Thread/serial responses carry no envelope and pass through
+        untouched.
         """
-        if (
-            response.metrics_delta is None
-            and not response.worker_traces
-            and not response.capture_payloads
-        ):
+        telemetry = response.telemetry
+        if telemetry is None:
             return response
-        if response.metrics_delta is not None and metrics_enabled():
-            get_registry().merge(response.metrics_delta)
-        for trace_document in response.worker_traces:
+        if metrics_enabled():
+            get_registry().merge(telemetry.metrics)
+        for trace_document in telemetry.traces:
             emit_trace(PipelineTrace.from_dict(trace_document))
         store = get_capture_store()
         if store is not None:
-            for payload in response.capture_payloads:
-                store.record(payload)
-        return replace(
-            response,
-            metrics_delta=None,
-            worker_traces=(),
-            capture_payloads=(),
-        )
+            for capture in telemetry.captures:
+                store.record(capture)
+        return replace(response, telemetry=None)
 
     def _timeout_response(
         self, request: AuthenticationRequest

@@ -82,6 +82,25 @@ class AuthenticationRequest:
 
 
 @dataclass(frozen=True)
+class WorkerTelemetry:
+    """What a ``process`` worker recorded while serving one request.
+
+    A worker interpreter cannot reach the parent's metrics registry,
+    trace sinks or capture store, so it records into fresh local ones
+    and ships them home in this one envelope.  The parent merges
+    ``metrics`` (a :meth:`repro.obs.MetricsRegistry.snapshot` delta)
+    into its registry, replays ``traces`` (serialised
+    :class:`~repro.obs.PipelineTrace` documents) through its sinks and
+    records ``captures`` (:class:`~repro.obs.RequestCapture` objects)
+    into its store, so all three backends report identical totals.
+    """
+
+    metrics: dict
+    traces: tuple = ()
+    captures: tuple = ()
+
+
+@dataclass(frozen=True)
 class AuthenticationResponse:
     """Outcome of one served request.
 
@@ -95,17 +114,9 @@ class AuthenticationResponse:
             result, for ``degraded`` responses.
         latency_s: Wall time spent on the request inside the worker;
             ``None`` when the request timed out in the queue.
-        metrics_delta: Telemetry piggyback used by the ``process``
-            backend: the worker's metric increments for this request as
-            a :meth:`repro.obs.MetricsRegistry.snapshot` document.  The
-            parent merges it into the global registry and strips the
-            field before the response reaches callers, so serial,
-            thread and process backends report identical totals.
-        worker_traces: Telemetry piggyback used by the ``process``
-            backend: the serialised
-            :class:`~repro.obs.PipelineTrace` documents completed in
-            the worker while serving this request.  Replayed through
-            the parent's trace sinks, then stripped.
+        telemetry: The :class:`WorkerTelemetry` envelope a ``process``
+            worker ships home with the response.  The parent applies it
+            and strips the field before the response reaches callers.
         shed_reason: Why the broker refused a ``shed`` response
             (``"capacity"`` or ``"slo_burn"``); ``None`` otherwise.
         beeps_used: Beeps the decision actually consumed; ``None`` when
@@ -114,15 +125,8 @@ class AuthenticationResponse:
             streaming path.
         early_exit: Whether the streaming path stopped before its last
             beep.  Mutually exclusive with ``degradation`` by
-            construction: degraded retries run the non-streaming
-            pipeline, so a response never carries both.
-        capture_payloads: Capture piggyback used by the ``process``
-            backend when the parent has a
-            :class:`~repro.obs.CaptureStore` installed: the
-            :class:`~repro.obs.RequestCapture` objects recorded in the
-            worker while serving this request.  Recorded into the
-            parent's store, then stripped — mirroring
-            ``metrics_delta``/``worker_traces``.
+            construction: degraded retries run without an exit policy,
+            so a response never carries both.
     """
 
     request_id: str
@@ -131,12 +135,10 @@ class AuthenticationResponse:
     error: str | None = None
     degradation: str | None = None
     latency_s: float | None = None
-    metrics_delta: dict | None = None
-    worker_traces: tuple = ()
+    telemetry: WorkerTelemetry | None = None
     shed_reason: str | None = None
     beeps_used: int | None = None
     early_exit: bool = False
-    capture_payloads: tuple = ()
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:

@@ -62,17 +62,14 @@ class _CannedPipeline:
             threading.Event().wait(self._delay_s)
         return self._result
 
-    def authenticate(self, recordings):
-        return self._serve()
-
-    def authenticate_streaming(self, recordings, exit_policy=None):
+    def authenticate(self, recordings, exit_policy=None):
         return self._serve()
 
 
 class _CrashingCannedPipeline(_CannedPipeline):
     """Canned pipeline that crashes single-beep (marker) requests."""
 
-    def authenticate(self, recordings):
+    def authenticate(self, recordings, exit_policy=None):
         if len(recordings) == 1:
             raise RuntimeError("injected stage crash")
         return self._serve()
@@ -94,7 +91,7 @@ class TestOverload:
         submitters = 4
         per_submitter = 10  # 40 requests >= 10x the queue capacity
 
-        def canned_factory(bundle_arg, config, batched):
+        def canned_factory(bundle_arg, config):
             return _CannedPipeline(canned_result, DISPATCH_DELAY_S)
 
         registry = MetricsRegistry()
@@ -202,7 +199,7 @@ class TestCrashInjection:
     ):
         _, attempt = enrolled
 
-        def crashing_factory(bundle_arg, config, batched):
+        def crashing_factory(bundle_arg, config):
             return _CrashingCannedPipeline(canned_result)
 
         config = ServingConfig(backend="serial", degrade_on_error=False)
@@ -262,8 +259,8 @@ class TestHangInjection:
         _, attempt = enrolled
         release = threading.Event()
 
-        def hanging_factory(bundle_arg, config, batched):
-            real = bundle_arg.build_pipeline(config, batched_imaging=batched)
+        def hanging_factory(bundle_arg, config):
+            real = bundle_arg.build_pipeline(config)
             return _HangOnMarker(real, release)
 
         requests = [

@@ -62,10 +62,10 @@ class _CrashOnMarker:
     def __init__(self, real):
         self._real = real
 
-    def authenticate(self, recordings):
+    def authenticate(self, recordings, exit_policy=None):
         if len(recordings) == 1:
             raise RuntimeError("injected stage crash")
-        return self._real.authenticate(recordings)
+        return self._real.authenticate(recordings, exit_policy)
 
 
 class _HangOnMarker:
@@ -75,13 +75,13 @@ class _HangOnMarker:
         self._real = real
         self._release = release
 
-    def authenticate(self, recordings):
+    def authenticate(self, recordings, exit_policy=None):
         if len(recordings) == 1:
             # Bounded wait: the test releases it in its finally block, so
             # abandoned workers drain instead of pinning the interpreter.
             self._release.wait(GUARD_S)
             raise RuntimeError("hung request released")
-        return self._real.authenticate(recordings)
+        return self._real.authenticate(recordings, exit_policy)
 
 
 class TestBackends:
@@ -128,13 +128,13 @@ class TestBackends:
             BatchAuthenticator(
                 bundle,
                 ServingConfig(backend="process"),
-                pipeline_factory=lambda b, c, i: None,
+                pipeline_factory=lambda b, c: None,
             )
 
 
 class TestFailureIsolation:
-    def _crashing_factory(self, bundle_arg, config, batched):
-        real = bundle_arg.build_pipeline(config, batched_imaging=batched)
+    def _crashing_factory(self, bundle_arg, config):
+        real = bundle_arg.build_pipeline(config)
         return _CrashOnMarker(real)
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
@@ -184,13 +184,13 @@ class TestFailureIsolation:
         _, attempt = enrolled
 
         class _AlwaysCrash:
-            def authenticate(self, recordings):
+            def authenticate(self, recordings, exit_policy=None):
                 raise RuntimeError("full fidelity down")
 
-        def factory(bundle_arg, config, batched):
+        def factory(bundle_arg, config):
             if config is None:
                 return _AlwaysCrash()
-            return bundle_arg.build_pipeline(config, batched_imaging=batched)
+            return bundle_arg.build_pipeline(config)
 
         requests = make_requests(attempt, 2)
         config = ServingConfig(backend="serial", degrade_on_error=True)
@@ -214,8 +214,8 @@ class TestTimeouts:
         _, attempt = enrolled
         release = threading.Event()
 
-        def hanging_factory(bundle_arg, config, batched):
-            real = bundle_arg.build_pipeline(config, batched_imaging=batched)
+        def hanging_factory(bundle_arg, config):
+            real = bundle_arg.build_pipeline(config)
             return _HangOnMarker(real, release)
 
         requests = [
@@ -253,15 +253,13 @@ class TestTimeouts:
             def __init__(self, real):
                 self._real = real
 
-            def authenticate(self, recordings):
+            def authenticate(self, recordings, exit_policy=None):
                 release = threading.Event()
                 release.wait(0.2)
-                return self._real.authenticate(recordings)
+                return self._real.authenticate(recordings, exit_policy)
 
-        def slow_factory(bundle_arg, config, batched):
-            return _Slow(
-                bundle_arg.build_pipeline(config, batched_imaging=batched)
-            )
+        def slow_factory(bundle_arg, config):
+            return _Slow(bundle_arg.build_pipeline(config))
 
         requests = make_requests(attempt, 3)
         config = ServingConfig(backend="serial", timeout_s=0.1)
@@ -288,10 +286,8 @@ class TestTelemetry:
                 AuthenticationRequest("bad", (attempt[0],)),
             ]
 
-            def crashing_factory(bundle_arg, config, batched):
-                real = bundle_arg.build_pipeline(
-                    config, batched_imaging=batched
-                )
+            def crashing_factory(bundle_arg, config):
+                real = bundle_arg.build_pipeline(config)
                 return _CrashOnMarker(real)
 
             config = ServingConfig(backend="serial", degrade_on_error=False)

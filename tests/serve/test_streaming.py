@@ -150,6 +150,22 @@ class TestPipelineStreaming:
         assert result.beeps_used == len(attempt)
         assert not result.early_exit
 
+    def test_chunk_rule_read_from_trace(self, enrolled):
+        # A disabled policy reads the attempt in one chunk; a policy
+        # that can fire reads it one beep per chunk, even when it never
+        # does.
+        pipeline, attempt = enrolled
+        never_fires = ExitPolicy(
+            min_beeps=len(attempt) + 1, score_threshold=0.0
+        )
+        for policy, chunks in ((ExitPolicy(), 1), (never_fires, len(attempt))):
+            result = pipeline.authenticate_streaming(list(attempt), policy)
+            trace_ = result.trace
+            assert len(trace_.find("features.extract")) == chunks, policy
+            assert len(trace_.find("stream.beep")) == chunks, policy
+            assert result.beeps_used == len(attempt)
+            assert not result.early_exit
+
     def test_batch_path_never_reports_early_exit(self, enrolled):
         pipeline, attempt = enrolled
         result = pipeline.authenticate(list(attempt))
@@ -273,10 +289,7 @@ class TestExecutorStreaming:
 class _StreamingDown:
     """Full-fidelity pipeline whose streaming entry point is broken."""
 
-    def authenticate_streaming(self, recordings, exit_policy=None):
-        raise RuntimeError("streaming path down")
-
-    def authenticate(self, recordings):
+    def authenticate(self, recordings, exit_policy=None):
         raise RuntimeError("streaming path down")
 
 
@@ -284,10 +297,10 @@ class TestExitDegradationInterplay:
     """Early exit and the degradation ladder are mutually exclusive."""
 
     @staticmethod
-    def _factory(bundle_arg, config, batched):
+    def _factory(bundle_arg, config):
         if config is None:  # full fidelity: crash into the ladder
             return _StreamingDown()
-        return bundle_arg.build_pipeline(config, batched_imaging=batched)
+        return bundle_arg.build_pipeline(config)
 
     def test_degraded_streaming_request_is_not_early_exited(
         self, enrolled, bundle

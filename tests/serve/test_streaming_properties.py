@@ -1,11 +1,13 @@
 """Property-based bit-identity of streaming vs batch authentication.
 
-``authenticate_streaming`` with the exit disabled promises the *same
-numbers* as ``authenticate_batch`` for any attempt on every backend —
-not just the golden cases.  These tests sample random attempts (beep
-count, subject, capture seed; via ``hypothesis`` when available, a
-seeded stdlib sweep otherwise) and require the decision, per-beep SVDD
-scores and SVM margins to match bit-for-bit.
+``authenticate_streaming`` under a policy that never exits promises the
+*same numbers* as ``authenticate_batch`` for any attempt on every
+backend — not just the golden cases — whether the policy is disabled
+(one chunk, the batch path itself) or enabled but unable to fire (one
+beep per chunk).  These tests sample random attempts (beep count,
+subject, capture seed; via ``hypothesis`` when available, a seeded
+stdlib sweep otherwise) and require the decision, per-beep SVDD scores
+and SVM margins to match bit-for-bit.
 
 The guarantee holds by construction — per-beep imaging and feature
 extraction are bitwise equal to their batched forms, and the final
@@ -14,6 +16,8 @@ here is a real regression in that construction, not tolerance noise.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -70,16 +74,22 @@ def _assert_stream_matches_batch(servers, subject_id, num_beeps, seed):
     request = AuthenticationRequest(
         f"prop-{subject_id}-{num_beeps}-{seed}", tuple(attempt)
     )
-    for backend in BACKENDS:
+    # The disabled policy reads the attempt in one chunk, like the batch
+    # path; the enabled one that can never fire reads it beep by beep.
+    policies = (
+        ExitPolicy(),
+        ExitPolicy(min_beeps=num_beeps + 1, score_threshold=0.0),
+    )
+    for backend, policy in itertools.product(BACKENDS, policies):
         server = servers[backend]
         (batch,) = run_guarded(
             lambda: server.authenticate_batch([request])
         )
         (stream,) = run_guarded(
-            lambda: server.authenticate_streaming([request], ExitPolicy())
+            lambda: server.authenticate_streaming([request], policy)
         )
         context = (
-            f"backend={backend}, subject={subject_id}, "
+            f"backend={backend}, policy={policy}, subject={subject_id}, "
             f"beeps={num_beeps}, seed={seed}"
         )
         assert stream.status == batch.status, context

@@ -149,8 +149,7 @@ class TestBackendTotalsMatch:
             bundle, "process", make_requests(attempt, 2)
         )
         for response in responses:
-            assert response.metrics_delta is None
-            assert response.worker_traces == ()
+            assert response.telemetry is None
 
     def test_worker_traces_replay_through_parent_sinks(
         self, enrolled, bundle
@@ -196,8 +195,8 @@ class TestFlightRecording:
         _, attempt = enrolled
         release = threading.Event()
 
-        def hanging_factory(bundle_arg, config, batched):
-            real = bundle_arg.build_pipeline(config, batched_imaging=batched)
+        def hanging_factory(bundle_arg, config):
+            real = bundle_arg.build_pipeline(config)
             return _HangOnMarker(real, release)
 
         dump_path = tmp_path / "blackbox.json"
@@ -250,13 +249,13 @@ class TestFlightRecording:
         _, attempt = enrolled
 
         class _AlwaysCrash:
-            def authenticate(self, recordings):
+            def authenticate(self, recordings, exit_policy=None):
                 raise RuntimeError("full fidelity down")
 
-        def factory(bundle_arg, config, batched):
+        def factory(bundle_arg, config):
             if config is None:
                 return _AlwaysCrash()
-            return bundle_arg.build_pipeline(config, batched_imaging=batched)
+            return bundle_arg.build_pipeline(config)
 
         recorder = FlightRecorder()
         config = ServingConfig(backend="serial", degrade_on_error=True)
