@@ -90,12 +90,14 @@ from repro.config import (
 from repro.core.distance import DistanceEstimationError
 from repro.obs import (
     AuditLedger,
+    DecisionRecord,
     FlightRecorder,
     MetricsRegistry,
     ObservabilityServer,
     SecuritySentinel,
     SLOTracker,
     correlation_scope,
+    publish,
     set_audit_ledger,
     set_flight_recorder,
     set_registry,
@@ -348,17 +350,18 @@ def main() -> int:
         f"std {baseline.std:.4f} over {baseline.count} enrollment scores\n"
     )
 
-    direct_bundle_hash = None
+    direct_bundle = None
     if capture_store is not None and args.backend == "direct":
         from repro.serve import ModelBundle
 
-        # The serving backends content-address their bundle inside
-        # repro.serve; the direct path must do it by hand so its
-        # captures are replayable too.
-        direct_bundle_hash = capture_store.ensure_bundle(
-            ModelBundle.from_pipeline(pipeline)
+        # The serving backends hand their bundle to publish inside
+        # repro.serve; the direct path passes its own so its captures
+        # are replayable too.
+        direct_bundle = ModelBundle.from_pipeline(pipeline)
+        print(
+            f"[capture bundle content hash "
+            f"{capture_store.ensure_bundle(direct_bundle)}]\n"
         )
-        print(f"[capture bundle content hash {direct_bundle_hash}]\n")
 
     server = None
     if args.backend != "direct":
@@ -409,20 +412,28 @@ def main() -> int:
 
     state["enrolled"] = True  # bundle (if any) loaded: /readyz goes 200
 
-    def observe_direct(result, request_id, tenant="default"):
-        """Feed a direct-path decision into the sentinel's detectors.
+    def authenticate_direct(recordings, request_id=None, tenant="default"):
+        """One direct ``pipeline.authenticate`` call as a decision record.
 
-        Mirrors the serving layer's hook: the batch/broker paths feed
-        the sentinel from inside ``repro.serve``; direct calls must do
-        it here.
+        The serving layer publishes its decisions from inside
+        ``repro.serve``; direct calls describe theirs here, with the
+        same serving fields.
         """
-        finite = [float(s) for s in result.scores if np.isfinite(s)]
-        return sentinel.observe_auth(
-            accepted=bool(result.accepted),
+        started = time.perf_counter()
+        with correlation_scope(request_id) as request_id:
+            try:
+                result, error = pipeline.authenticate(recordings), None
+            except DistanceEstimationError as exc:
+                result, error = None, repr(exc)
+        return result, DecisionRecord.of_result(
+            request_id,
+            "authenticate",
+            result,
+            status="ok" if result is not None else "error",
             tenant=tenant,
-            user=str(result.label) if result.accepted else None,
-            score=max(finite) if finite else None,
-            request_id=request_id,
+            backend="direct",
+            latency_s=time.perf_counter() - started,
+            error=error,
         )
 
     if args.replay_burst:
@@ -453,21 +464,14 @@ def main() -> int:
                 ]
             )
         else:
-            results = []
-            for rid, recordings in zip(burst_ids, burst_recordings):
-                with correlation_scope(rid):
-                    result = pipeline.authenticate(recordings)
-                recorder.record_request(rid, "ok", trace=result.trace)
-                if capture_store is not None:
-                    capture_store.annotate(
-                        rid,
-                        bundle_hash=direct_bundle_hash,
-                        backend="direct",
-                        tenant="tenant-replay",
-                    )
-                results.append((rid, result))
-            for rid, result in results:  # feed back-to-back
-                observe_direct(result, rid, tenant="tenant-replay")
+            # One publish: the sentinel sees the burst back-to-back.
+            publish(
+                [
+                    authenticate_direct(recs, rid, "tenant-replay")[1]
+                    for rid, recs in zip(burst_ids, burst_recordings)
+                ],
+                bundle=direct_bundle,
+            )
         for alert in sentinel.alerts()[before:]:
             print(f"       SECURITY {json.dumps(alert.to_dict())}")
         print(
@@ -541,45 +545,15 @@ def main() -> int:
             if len(pending) >= args.batch_size:
                 flush_batch(pending)
         else:
-            with correlation_scope() as request_id:
-                try:
-                    result = pipeline.authenticate(recordings)
-                except DistanceEstimationError as error:
-                    recorder.record_request(
-                        request_id, "error", error=repr(error)
-                    )
-                    if ledger is not None:
-                        ledger.append(
-                            "authenticate", request_id,
-                            decision="error", error=repr(error),
-                        )
-                    print(f"[{attempt:4d}] no-echo reject ({error})")
-                    continue
-                recorder.record_request(request_id, "ok", trace=result.trace)
-                if capture_store is not None:
-                    capture_store.annotate(
-                        request_id,
-                        bundle_hash=direct_bundle_hash,
-                        backend="direct",
-                    )
-                for alert in observe_direct(result, request_id):
-                    print(f"       SECURITY {json.dumps(alert.to_dict())}")
-                if ledger is not None:
-                    ledger.append(
-                        "authenticate", request_id,
-                        user=str(result.label),
-                        decision="accept" if result.accepted else "reject",
-                        svdd_scores=[float(s) for s in result.scores],
-                    )
-                for alert in result.drift_alerts:
-                    recorder.record_event(
-                        "drift_alert",
-                        request_id=request_id,
-                        monitor=alert.monitor,
-                        alert_kind=alert.kind,
-                        message=alert.message,
-                    )
-                print_attempt(attempt, spoofing, result)
+            result, record = authenticate_direct(recordings)
+            before = len(sentinel.alerts())
+            publish([record], bundle=direct_bundle)
+            for alert in sentinel.alerts()[before:]:
+                print(f"       SECURITY {json.dumps(alert.to_dict())}")
+            if result is None:
+                print(f"[{attempt:4d}] no-echo reject ({record.error})")
+                continue
+            print_attempt(attempt, spoofing, result)
         if args.dump_every and attempt % args.dump_every == 0:
             print("\n" + registry.render_prometheus())
     if broker is not None:

@@ -327,13 +327,6 @@ class ObservabilityConfig:
             path; ``None`` (default) disables auditing entirely.
         audit_max_bytes: Rotation threshold of the active ledger file;
             ``0`` disables rotation.
-        capture_dir: When set, per-request captures (inputs, resolved
-            config, stage digests — everything
-            :func:`repro.obs.replay.replay_request` needs) are persisted
-            to a :class:`repro.obs.CaptureStore` rooted here; ``None``
-            (default) disables capture entirely.
-        capture_max: Captures retained before the store evicts the
-            least-recently-used entry.
 
     Example:
         >>> cfg = ObservabilityConfig(port=9102)
@@ -352,8 +345,6 @@ class ObservabilityConfig:
     flight_dump_path: str | None = None
     audit_path: str | None = None
     audit_max_bytes: int = 4_000_000
-    capture_dir: str | None = None
-    capture_max: int = 256
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -364,8 +355,6 @@ class ObservabilityConfig:
             raise ValueError("flight-recorder ring sizes must be >= 1")
         if self.audit_max_bytes < 0:
             raise ValueError("audit_max_bytes must be >= 0 (0 = no rotation)")
-        if self.capture_max < 1:
-            raise ValueError("capture_max must be >= 1")
 
     def build_recorder(self):
         """A :class:`repro.obs.FlightRecorder` with these parameters."""
@@ -387,21 +376,6 @@ class ObservabilityConfig:
         from repro.obs import AuditLedger
 
         return AuditLedger(self.audit_path, max_bytes=self.audit_max_bytes)
-
-    def build_capture_store(self):
-        """A :class:`repro.obs.CaptureStore` rooted at :attr:`capture_dir`.
-
-        Returns ``None`` when capture is not configured — callers
-        install the store process-wide with
-        :func:`repro.obs.set_capture_store`.
-        """
-        if self.capture_dir is None:
-            return None
-        from repro.obs import CaptureStore
-
-        return CaptureStore(
-            root=self.capture_dir, max_captures=self.capture_max
-        )
 
 
 @dataclass(frozen=True)
@@ -513,17 +487,6 @@ class SentinelConfig:
             raise ValueError("shard_mean_sigmas must be positive")
         if self.shard_variance_ratio <= 1.0:
             raise ValueError("shard_variance_ratio must exceed 1")
-
-    def build_sentinel(self, clock=None):
-        """A :class:`repro.obs.SecuritySentinel` with these parameters.
-
-        Args:
-            clock: Optional monotonic-seconds source (experiments inject
-                a scripted clock for deterministic attack pacing).
-        """
-        from repro.obs import SecuritySentinel
-
-        return SecuritySentinel(self, clock=clock)
 
 
 @dataclass(frozen=True)

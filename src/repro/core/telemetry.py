@@ -250,6 +250,43 @@ class PipelineMetrics:
         self._tenant_lock = threading.Lock()
         self._tenant_seen: set[str] = set()
 
+    def record_decision(self, record) -> None:
+        """Count one published
+        :class:`~repro.obs.decision.DecisionRecord`: serving records
+        (sheds included) feed ``serve_*``/``broker_shed``/``stream_*``,
+        ``identify`` records ``identify_*``."""
+        rid, latency = record.request_id, record.latency_s
+        if record.kind == "identify":
+            outcome = (
+                "empty" if not record.candidates
+                else "identified" if record.accepted else "rejected"
+            )
+            self.identify_requests.labels(outcome=outcome).inc()
+            self.identify_candidates.observe(float(len(record.candidates)))
+            self.identify_latency.labels().observe(
+                latency, exemplar={"request_id": rid, "value": latency}
+            )
+            return
+        if record.kind != "serve":
+            return
+        tenant = self.tenant_label(record.tenant)
+        self.serve_requests.labels(outcome=record.status, tenant=tenant).inc()
+        if record.shed_reason is not None:
+            self.broker_shed.labels(
+                reason=record.shed_reason, tenant=tenant
+            ).inc()
+        if record.degradation is not None:
+            self.serve_degradations.labels(step=record.degradation).inc()
+        if latency is not None:
+            self.serve_request_latency.labels().observe(
+                latency, exemplar={"request_id": rid, "value": latency}
+            )
+        if record.streaming and record.beeps_used is not None:
+            self.stream_exits.labels(
+                stage="early" if record.early_exit else "full"
+            ).inc()
+            self.stream_beeps_used.observe(float(record.beeps_used))
+
     def tenant_label(self, tenant: str) -> str:
         """The bounded-cardinality ``tenant`` label value for a tenant.
 

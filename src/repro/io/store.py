@@ -81,6 +81,14 @@ from repro.obs import (
     ensure_trace,
     trace,
 )
+from repro.obs.capture import (
+    RequestCapture,
+    StageCollector,
+    capture_environment,
+    identify_decision_document,
+)
+from repro.obs.decision import ACCEPT, REJECT, DecisionRecord, publish
+from repro.obs.observers import OBSERVERS
 
 #: Manifest schema version.
 MANIFEST_SCHEMA = 1
@@ -414,12 +422,8 @@ class EnrollmentStore:
         # Freeze the shard's enrollment-time score distribution into the
         # security sentinel (when one is installed), so the shard_drift
         # rule compares live identification scores against what the
-        # shard looked like the moment it was (re)fitted.  Imported
-        # lazily for the same repro.obs/repro.io cycle reason as the
-        # ledger below.
-        from repro.obs.sentinel import get_security_sentinel
-
-        sentinel = get_security_sentinel()
+        # shard looked like the moment it was (re)fitted.
+        sentinel = OBSERVERS.sentinel
         if sentinel is not None:
             _, scores = state.auth.decide(stacked)
             values = [float(s) for s in scores]
@@ -458,54 +462,31 @@ class EnrollmentStore:
         Raises:
             StorageError: When a consulted shard file is corrupted.
         """
-        # Imported lazily: repro.obs.audit builds on repro.io.storage,
-        # so a module-level import here would cycle through the package
-        # __init__ while repro.obs.audit is still executing.
-        from repro.obs.audit import get_audit_ledger
-
         started = time.perf_counter()
         with correlation_scope(current_request_id()) as request_id:
-            result = self._identify_correlated(
-                features, k, started, request_id
-            )
-        ledger = get_audit_ledger()
-        if ledger is not None:
-            ledger.append(
-                "identify",
+            result = self._identify_correlated(features, k, request_id)
+        publish([
+            DecisionRecord(
                 request_id,
+                "identify",
+                decision=ACCEPT if result.accepted else REJECT,
                 user=str(result.label),
-                decision="accept" if result.accepted else "reject",
-                candidates=[str(c) for c in result.candidates],
+                scores=result.gate_scores,
+                candidates=tuple(str(c) for c in result.candidates),
                 shard=result.shard,
-                gate_scores=[float(s) for s in result.gate_scores],
                 num_users=result.num_users,
                 latency_s=time.perf_counter() - started,
             )
-        # Same lazy-import dance as the ledger: the decided shard's gate
-        # scores stream into the sentinel's per-shard drift monitors.
-        from repro.obs.sentinel import get_security_sentinel
-
-        sentinel = get_security_sentinel()
-        if sentinel is not None and result.shard is not None:
-            sentinel.observe_identify(
-                shard=result.shard,
-                gate_scores=result.gate_scores,
-                user=str(result.label) if result.accepted else None,
-                request_id=request_id,
-            )
+        ])
         return result
 
     def _identify_correlated(
         self,
         features: np.ndarray,
         k: int | None,
-        started: float,
         request_id: str,
     ) -> IdentificationResult:
-        # Lazy for the same reason as the ledger import above.
-        from repro.obs.capture import get_capture_store
-
-        store = get_capture_store()
+        store = OBSERVERS.capture
         features = np.atleast_2d(np.asarray(features, dtype=float))
         k = self.candidate_k if k is None else k
         with self._lock, ensure_trace(), trace(
@@ -518,7 +499,6 @@ class EnrollmentStore:
                 stage1.set("num_candidates", len(candidates))
             if not candidates:
                 span.set("outcome", "empty")
-                self._observe_identify("empty", 0, started, request_id)
                 result = IdentificationResult(
                     label=SPOOFER_LABEL,
                     accepted=False,
@@ -557,12 +537,6 @@ class EnrollmentStore:
             accepted = label != SPOOFER_LABEL
             span.set("outcome", "identified" if accepted else "rejected")
             span.set("label", str(label))
-            self._observe_identify(
-                "identified" if accepted else "rejected",
-                len(candidates),
-                started,
-                request_id,
-            )
             result = IdentificationResult(
                 label=label,
                 accepted=accepted,
@@ -587,13 +561,6 @@ class EnrollmentStore:
         """
         if store is None:
             return
-        from repro.obs.capture import (
-            RequestCapture,
-            StageCollector,
-            capture_environment,
-            identify_decision_document,
-        )
-
         collector = StageCollector(span, store.capture_arrays)
         collector.stamp("features", features)
         if result.gate_scores:
@@ -615,24 +582,6 @@ class EnrollmentStore:
                 features=np.array(features, copy=True),
                 identify_k=k,
             )
-        )
-
-    def _observe_identify(
-        self,
-        outcome: str,
-        num_candidates: int,
-        started: float,
-        request_id: str | None = None,
-    ) -> None:
-        metrics = pipeline_metrics()
-        if metrics is None:
-            return
-        metrics.identify_requests.labels(outcome=outcome).inc()
-        metrics.identify_candidates.observe(float(num_candidates))
-        elapsed = time.perf_counter() - started
-        metrics.identify_latency.labels().observe(
-            elapsed,
-            exemplar={"request_id": request_id, "value": elapsed},
         )
 
     # ------------------------------------------------------------------

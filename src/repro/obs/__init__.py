@@ -41,6 +41,9 @@ The subsystem has three layers:
   dependency-free ``http.server`` endpoint exposing ``/metrics``,
   ``/healthz``, ``/readyz``, ``/traces``, ``/drift``, ``/audit``,
   ``/slo`` and ``/alerts`` live;
+* :mod:`repro.obs.decision` / :mod:`repro.obs.observers` — one
+  :class:`DecisionRecord` per decision, :func:`publish`-ed to the five
+  sinks held in one bundle behind the ``get_*``/``set_*`` accessors;
 * :mod:`repro.obs.envinfo` — :func:`environment_fingerprint`, the
   commit/interpreter/numpy/CPU/``REPRO_SCALE`` stamp carried by every
   JSON artifact (metrics dumps, stage reports, flight black boxes and
@@ -150,6 +153,7 @@ from repro.obs.sentinel import (
     get_security_sentinel,
     set_security_sentinel,
 )
+from repro.obs.decision import DecisionRecord, publish
 
 #: Span names emitted by the instrumented EchoImage pipeline.
 STAGES = (
@@ -215,6 +219,8 @@ __all__ = [
     "SecuritySentinel",
     "get_security_sentinel",
     "set_security_sentinel",
+    "DecisionRecord",
+    "publish",
     "PipelineTrace",
     "Span",
     "NULL_SPAN",

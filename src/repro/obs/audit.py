@@ -50,12 +50,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.obs.envinfo import environment_fingerprint
 from repro.obs.metrics import SCHEMA_VERSION
+from repro.obs.observers import OBSERVERS
 
 #: ``prev_hash`` of the first entry of every chain segment.
 GENESIS_HASH = "0" * 64
@@ -494,31 +497,59 @@ class AuditLedger:
         }
 
 
-# -- process-wide default ledger ----------------------------------------
+# -- decision format -----------------------------------------------------
 
-_DEFAULT_LOCK = threading.Lock()
-_DEFAULT_LEDGER: AuditLedger | None = None
+
+def audit_fields(record) -> dict:
+    """The ledger fields of one :class:`~repro.obs.decision.DecisionRecord`,
+    envelope keys aside: an ``identify`` lookup's candidates, shard and
+    gate scores, or an attempt's serving context plus, when a decision
+    was produced, its scores, margins and distance."""
+    if record.kind == "identify":
+        return {
+            "user": record.user,
+            "decision": record.decision,
+            "candidates": list(record.candidates),
+            "shard": record.shard,
+            "gate_scores": list(record.scores),
+            "num_users": record.num_users,
+            "latency_s": record.latency_s,
+        }
+    fields: dict = {
+        "status": record.status,
+        "decision": record.decision,
+        "backend": record.backend,
+        "environment": environment_fingerprint(),
+    }
+    if record.decided:
+        fields["user"] = record.user
+        fields["svdd_scores"] = list(record.scores)
+        # NaN marks beeps the SVDD gate rejected; JSON has no NaN.
+        fields["svm_margins"] = [
+            m if math.isfinite(m) else None for m in record.margins
+        ]
+        fields["distance_m"] = record.distance_m
+    # beeps_used is what the decision consumed: the degraded (shortened)
+    # attempt length, or the streaming exit point.
+    optional = {
+        "degradation": record.degradation,
+        "beeps_used": record.beeps_used,
+        "early_exit": record.early_exit or None,
+        "latency_s": record.latency_s,
+        "error": record.error,
+    }
+    fields.update((k, v) for k, v in optional.items() if v is not None)
+    return fields
+
+
+# -- process-wide default ledger ----------------------------------------
 
 
 def get_audit_ledger() -> AuditLedger | None:
-    """The installed process-wide ledger, or ``None`` (auditing off).
-
-    Instrumentation call sites read ``ledger = get_audit_ledger(); if
-    ledger is not None: ...`` — no ledger, no disk writes, no overhead
-    beyond one function call.
-    """
-    with _DEFAULT_LOCK:
-        return _DEFAULT_LEDGER
+    """The installed process-wide ledger, or ``None`` (auditing off)."""
+    return OBSERVERS.ledger
 
 
 def set_audit_ledger(ledger: AuditLedger | None) -> AuditLedger | None:
-    """Install (or remove, with ``None``) the default ledger.
-
-    Returns:
-        The previously installed ledger.
-    """
-    global _DEFAULT_LEDGER
-    with _DEFAULT_LOCK:
-        previous = _DEFAULT_LEDGER
-        _DEFAULT_LEDGER = ledger
-        return previous
+    """Install (or remove, with ``None``) the ledger; returns the old one."""
+    return OBSERVERS.swap("ledger", ledger)

@@ -49,6 +49,7 @@ from pathlib import Path
 
 from repro.obs.envinfo import environment_fingerprint
 from repro.obs.metrics import SCHEMA_VERSION
+from repro.obs.observers import OBSERVERS
 
 # repro.io.storage is imported lazily inside the methods that persist
 # (the audit ledger does the same): repro.io pulls repro.core back in,
@@ -574,33 +575,17 @@ def capture_environment() -> dict:
     return dict(environment_fingerprint())
 
 
-# ----------------------------------------------------------------------
-# Process-wide default store (opt-in: None until installed)
-# ----------------------------------------------------------------------
-
-_STORE_LOCK = threading.Lock()
-_CAPTURE_STORE: CaptureStore | None = None
+# -- process-wide default store (opt-in: None until installed) ----------
 
 
 def get_capture_store() -> CaptureStore | None:
-    """The installed process-wide capture store, or ``None`` (default).
-
-    Unlike the flight recorder there is no always-on default: capture
-    retains raw waveforms and configs, so it must be asked for.
-    """
-    with _STORE_LOCK:
-        return _CAPTURE_STORE
+    """The installed capture store, or ``None`` (capture is opt-in: it
+    retains raw waveforms and configs)."""
+    return OBSERVERS.capture
 
 
 def set_capture_store(
     store: CaptureStore | None,
 ) -> CaptureStore | None:
-    """Install (or clear, with ``None``) the process-wide capture store.
-
-    Returns the previous store so callers can restore it.
-    """
-    global _CAPTURE_STORE
-    with _STORE_LOCK:
-        previous = _CAPTURE_STORE
-        _CAPTURE_STORE = store
-        return previous
+    """Install (or remove, with ``None``) the store; returns the old one."""
+    return OBSERVERS.swap("capture", store)

@@ -42,6 +42,7 @@ import time
 from collections import deque
 
 from repro.obs.metrics import SCHEMA_VERSION
+from repro.obs.observers import OBSERVERS
 from repro.obs.tracer import PipelineTrace
 
 
@@ -284,26 +285,50 @@ class FlightRecorder:
             self._dropped_events = 0
 
 
+# -- decision format -----------------------------------------------------
+
+#: Statuses whose presence in a published batch triggers an auto dump.
+FAILED_STATUSES = ("timeout", "error")
+
+
+def flight_events(record) -> list[tuple[str, dict]]:
+    """The ``(kind, details)`` events one
+    :class:`~repro.obs.decision.DecisionRecord` leaves in the ring: a
+    shed, timeout, error, degradation or early exit (in that precedence)
+    plus one ``drift_alert`` per alert the attempt raised."""
+    if record.shed_reason is not None:
+        events = [("shed", {"reason": record.shed_reason,
+                            "tenant": record.tenant})]
+    elif record.status in FAILED_STATUSES:
+        kind = "timeout" if record.status == "timeout" else "worker_error"
+        events = [(kind, {"error": record.error, "backend": record.backend})]
+    elif record.degradation is not None:
+        events = [("degradation", {"step": record.degradation})]
+    elif record.early_exit:
+        events = [("early_exit", {"beeps_used": record.beeps_used})]
+    else:
+        events = []
+    events += [
+        ("drift_alert", {"monitor": alert.monitor, "alert_kind": alert.kind,
+                         "message": alert.message})
+        for alert in record.drift_alerts
+    ]
+    return [
+        (kind, {"request_id": record.request_id, **details})
+        for kind, details in events
+    ]
+
+
 # -- process-wide default recorder --------------------------------------
 
-_DEFAULT_LOCK = threading.Lock()
-_DEFAULT_RECORDER = FlightRecorder()
+OBSERVERS.recorder = FlightRecorder()
 
 
 def get_flight_recorder() -> FlightRecorder:
     """The process-wide default recorder the serving layer records into."""
-    with _DEFAULT_LOCK:
-        return _DEFAULT_RECORDER
+    return OBSERVERS.recorder
 
 
 def set_flight_recorder(recorder: FlightRecorder) -> FlightRecorder:
-    """Swap the default recorder; returns the previous one.
-
-    Tests and long-running drivers use this to install a recorder with
-    their own ring sizes / auto-dump destination.
-    """
-    global _DEFAULT_RECORDER
-    with _DEFAULT_LOCK:
-        previous = _DEFAULT_RECORDER
-        _DEFAULT_RECORDER = recorder
-        return previous
+    """Swap the default recorder; returns the previous one."""
+    return OBSERVERS.swap("recorder", recorder)

@@ -41,6 +41,8 @@ import re
 import threading
 from typing import Iterable, Sequence
 
+from repro.obs.observers import OBSERVERS
+
 #: Version stamp carried by every metrics JSON export.
 SCHEMA_VERSION = 1
 
@@ -698,28 +700,18 @@ def _histogram_lines(
 
 # -- process-wide default registry -------------------------------------
 
-_DEFAULT_LOCK = threading.Lock()
-_DEFAULT_REGISTRY = MetricsRegistry()
+OBSERVERS.registry = MetricsRegistry()
 _METRICS_ENABLED = True
 
 
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry the pipeline records into."""
-    with _DEFAULT_LOCK:
-        return _DEFAULT_REGISTRY
+    return OBSERVERS.registry
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the default registry; returns the previous one.
-
-    Tests and batch drivers use this to collect into a fresh registry
-    without clearing another consumer's totals.
-    """
-    global _DEFAULT_REGISTRY
-    with _DEFAULT_LOCK:
-        previous = _DEFAULT_REGISTRY
-        _DEFAULT_REGISTRY = registry
-        return previous
+    """Swap the default registry; returns the previous one."""
+    return OBSERVERS.swap("registry", registry)
 
 
 def set_metrics_enabled(enabled: bool) -> None:

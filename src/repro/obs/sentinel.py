@@ -63,6 +63,7 @@ Example:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -72,6 +73,7 @@ from repro.config import SentinelConfig
 from repro.obs.drift import DriftMonitor
 from repro.obs.flight import get_flight_recorder
 from repro.obs.metrics import SCHEMA_VERSION
+from repro.obs.observers import OBSERVERS
 
 #: Rule names (the ``rule`` label on ``echoimage_security_alerts_total``).
 RULE_REJECT_SPIKE = "reject_spike"
@@ -657,28 +659,26 @@ class SecuritySentinel:
             self.engine.reset()
 
 
-# -- process-wide default sentinel ---------------------------------------
+def best_score(scores) -> float | None:
+    """The best (highest) finite SVDD score of an attempt, or ``None``.
 
-_DEFAULT_LOCK = threading.Lock()
-_DEFAULT_SENTINEL: SecuritySentinel | None = None
+    That is what an adaptive attacker optimises against the gate, so it
+    is the probing signal :meth:`SecuritySentinel.observe_auth` tracks.
+    """
+    finite = [float(s) for s in scores if math.isfinite(s)]
+    return max(finite) if finite else None
+
+
+# -- process-wide default sentinel ---------------------------------------
 
 
 def get_security_sentinel() -> SecuritySentinel | None:
     """The installed sentinel, or ``None`` (detection is opt-in)."""
-    with _DEFAULT_LOCK:
-        return _DEFAULT_SENTINEL
+    return OBSERVERS.sentinel
 
 
 def set_security_sentinel(
     sentinel: SecuritySentinel | None,
 ) -> SecuritySentinel | None:
-    """Install (or with ``None`` remove) the process-wide sentinel.
-
-    Returns:
-        The previously installed sentinel, for restoration.
-    """
-    global _DEFAULT_SENTINEL
-    with _DEFAULT_LOCK:
-        previous = _DEFAULT_SENTINEL
-        _DEFAULT_SENTINEL = sentinel
-        return previous
+    """Install (or remove, with ``None``) the sentinel; returns the old one."""
+    return OBSERVERS.swap("sentinel", sentinel)

@@ -46,12 +46,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.flight import FlightRecorder, get_flight_recorder
-from repro.obs.metrics import (
-    SCHEMA_VERSION,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import SCHEMA_VERSION, MetricsRegistry
+from repro.obs.observers import OBSERVERS
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -246,19 +243,20 @@ class ObservabilityServer:
 
     # -- telemetry sources ---------------------------------------------
 
+    def _sink(self, own, slot: str):
+        """``own`` when this server was given one, else the installed
+        sink of that :data:`~repro.obs.observers.OBSERVERS` slot."""
+        return own if own is not None else getattr(OBSERVERS, slot)
+
     @property
     def registry(self) -> MetricsRegistry:
         """The registry scraped by ``/metrics``."""
-        return self._registry if self._registry is not None else get_registry()
+        return self._sink(self._registry, "registry")
 
     @property
     def recorder(self) -> FlightRecorder:
         """The flight recorder served by ``/traces``."""
-        return (
-            self._recorder
-            if self._recorder is not None
-            else get_flight_recorder()
-        )
+        return self._sink(self._recorder, "recorder")
 
     def check_ready(self) -> bool:
         """The ``/readyz`` verdict: running and readiness probe truthy."""
@@ -284,11 +282,7 @@ class ObservabilityServer:
     @property
     def audit_ledger(self):
         """The ledger queried by ``/audit`` (may be ``None``)."""
-        if self._audit_ledger is not None:
-            return self._audit_ledger
-        from repro.obs.audit import get_audit_ledger
-
-        return get_audit_ledger()
+        return self._sink(self._audit_ledger, "ledger")
 
     def audit_document(self, query: dict | None = None) -> dict:
         """The ``/audit`` payload for one parsed query string.
@@ -326,11 +320,7 @@ class ObservabilityServer:
     @property
     def sentinel(self):
         """The sentinel served by ``/alerts`` (may be ``None``)."""
-        if self._sentinel is not None:
-            return self._sentinel
-        from repro.obs.sentinel import get_security_sentinel
-
-        return get_security_sentinel()
+        return self._sink(self._sentinel, "sentinel")
 
     def alerts_document(self, query: dict | None = None) -> tuple[int, dict]:
         """``(status, document)`` of the ``/alerts`` payload.
@@ -387,11 +377,7 @@ class ObservabilityServer:
     @property
     def capture_store(self):
         """The store served by ``/capture`` (may be ``None``)."""
-        if self._capture_store is not None:
-            return self._capture_store
-        from repro.obs.capture import get_capture_store
-
-        return get_capture_store()
+        return self._sink(self._capture_store, "capture")
 
     def capture_document(
         self, query: dict | None = None

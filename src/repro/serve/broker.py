@@ -8,7 +8,8 @@ with a bounded queue so the serving layer can accept a continuous trickle
   beyond that, :meth:`RequestBroker.submit` resolves the request
   immediately with a structured ``shed`` response (reason
   ``"capacity"``) instead of queueing without bound.  Shedding is
-  deliberate and observable:
+  deliberate and observable: each shed is published as one
+  :class:`~repro.obs.decision.DecisionRecord`, so
   ``echoimage_broker_shed_total{reason,tenant}`` counts it, a ``shed``
   flight-recorder event carries the request id, and the response echoes
   the id so callers stay correlated.  Admissions and sheds also feed
@@ -29,7 +30,9 @@ with a bounded queue so the serving layer can accept a continuous trickle
   from one thread; the broker's dispatcher thread is that thread.  It
   collects up to ``dispatch_batch`` requests per turn and serves them
   through :meth:`~BatchAuthenticator.authenticate_streaming` (when an
-  exit policy is configured) or :meth:`~BatchAuthenticator.authenticate_batch`.
+  exit policy is configured) or :meth:`~BatchAuthenticator.authenticate_batch`,
+  with ``via="broker"`` so the served captures record how the requests
+  entered the system.
   Concurrency comes from the authenticator's own pool backends.
 
 Every admission records a ``broker.enqueue`` span.  The broker never
@@ -56,12 +59,8 @@ from time import monotonic
 
 from repro.config import BrokerConfig, ExitPolicy
 from repro.core.telemetry import pipeline_metrics
-from repro.obs import (
-    ensure_trace,
-    get_flight_recorder,
-    get_security_sentinel,
-    trace,
-)
+from repro.obs import ensure_trace, get_security_sentinel, trace
+from repro.obs.decision import DecisionRecord, publish
 from repro.obs.slo import SLOTracker
 from repro.serve.executor import BatchAuthenticator
 from repro.serve.requests import (
@@ -246,26 +245,16 @@ class RequestBroker:
     ) -> AuthenticationResponse:
         with self._lock:
             self._shed_counts[reason] = self._shed_counts.get(reason, 0) + 1
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            tenant = metrics.tenant_label(request.tenant)
-            metrics.broker_shed.labels(reason=reason, tenant=tenant).inc()
-            metrics.serve_requests.labels(
-                outcome=STATUS_SHED, tenant=tenant
-            ).inc()
-        get_flight_recorder().record_event(
-            "shed",
-            request_id=request.request_id,
-            reason=reason,
-            tenant=request.tenant,
-        )
-        sentinel = get_security_sentinel()
-        if sentinel is not None:
-            sentinel.observe_admission(
+        publish([
+            DecisionRecord(
+                request.request_id,
+                "serve",
+                status=STATUS_SHED,
+                decision=STATUS_SHED,
                 tenant=request.tenant,
                 shed_reason=reason,
-                request_id=request.request_id,
             )
+        ])
         return AuthenticationResponse(
             request_id=request.request_id,
             status=STATUS_SHED,
@@ -329,11 +318,11 @@ class RequestBroker:
             try:
                 if self._exit_policy is not None:
                     responses = self._authenticator.authenticate_streaming(
-                        requests, self._exit_policy
+                        requests, self._exit_policy, via="broker"
                     )
                 else:
                     responses = self._authenticator.authenticate_batch(
-                        requests
+                        requests, via="broker"
                     )
             except Exception as exc:  # noqa: BLE001 — keep draining
                 responses = [
@@ -344,28 +333,11 @@ class RequestBroker:
                     )
                     for request in requests
                 ]
-            self._annotate_captures(requests)
             with self._lock:
                 self._inflight -= len(batch)
                 self._served += len(batch)
             for (_, future), response in zip(batch, responses):
                 future.set_result(response)
-
-    @staticmethod
-    def _annotate_captures(requests) -> None:
-        """Mark served captures as broker traffic.
-
-        The authenticator already recorded and bundle-annotated them;
-        the broker only adds the admission path, so a replayed dispute
-        shows how the request entered the system.
-        """
-        from repro.obs import get_capture_store
-
-        store = get_capture_store()
-        if store is None:
-            return
-        for request in requests:
-            store.annotate(request.request_id, via="broker")
 
     def _set_depth_gauge(self, depth: int) -> None:
         metrics = pipeline_metrics()

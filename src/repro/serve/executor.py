@@ -20,9 +20,7 @@ backends share the same worker logic:
 
 Each worker authenticates at full fidelity first and, on failure, walks
 the :mod:`~repro.serve.degradation` ladder before giving up.  The parent
-process records per-request outcomes into :mod:`repro.core.telemetry`
-(``echoimage_serve_*`` families) and wraps every batch in a
-``serve.batch`` trace span.
+wraps every batch in a ``serve.batch`` trace span.
 
 **Cross-worker telemetry propagation.**  Serial and thread workers
 record pipeline metrics and traces straight into the parent's global
@@ -35,17 +33,16 @@ response; the parent merges the delta into its registry, replays the
 traces through the sink API and records the captures, making all three
 backends report identical totals.
 
-**Flight recorder.**  Every completed batch is written into the
-process-wide :class:`~repro.obs.FlightRecorder` (request records plus
-timeout/degradation/drift/crash events); a batch containing failures
-triggers an automatic black-box dump when the recorder has a dump path
-configured.
+**Decision records.**  Once the batch span closes, the parent turns
+each response into one :class:`~repro.obs.decision.DecisionRecord` and
+publishes the batch to every installed sink — so all three backends
+write exactly one ledger entry per request, from one process.
 """
 
 from __future__ import annotations
 
-import math
 import threading
+from collections import Counter
 from concurrent.futures import (
     Executor,
     Future,
@@ -59,27 +56,23 @@ from typing import Callable
 
 from repro.config import EchoImageConfig, ExitPolicy, ServingConfig
 from repro.core.pipeline import EchoImagePipeline
-from repro.core.telemetry import pipeline_metrics
 from repro.obs import (
     CaptureStore,
-    FlightRecorder,
     MetricsRegistry,
     PipelineTrace,
     add_sink,
     correlation_scope,
     emit_trace,
     ensure_trace,
-    get_audit_ledger,
     get_capture_store,
-    get_flight_recorder,
     get_registry,
-    get_security_sentinel,
     metrics_enabled,
     remove_sink,
     set_capture_store,
     set_registry,
     trace,
 )
+from repro.obs.decision import DecisionRecord, publish
 from repro.serve.bundle import ModelBundle
 from repro.serve.degradation import DegradationPolicy, DegradationStep
 from repro.serve.requests import (
@@ -268,9 +261,6 @@ class BatchAuthenticator:
         pipeline_factory: Seam for tests to inject faulty pipelines;
             ignored by the ``process`` backend (worker interpreters
             always build real pipelines from the bundle).
-        recorder: Flight recorder batches are written into; defaults to
-            the process-wide recorder
-            (:func:`repro.obs.get_flight_recorder`) resolved per batch.
 
     Example::
 
@@ -290,13 +280,11 @@ class BatchAuthenticator:
         config: ServingConfig | None = None,
         policy: DegradationPolicy | None = None,
         pipeline_factory: PipelineFactory | None = None,
-        recorder: FlightRecorder | None = None,
     ) -> None:
         self.bundle = bundle
         self.config = config or ServingConfig()
         self.policy = policy or DegradationPolicy()
         self._factory = pipeline_factory or ModelBundle.build_pipeline
-        self._recorder = recorder
         self._closed = False
         if (
             pipeline_factory is not None
@@ -376,15 +364,6 @@ class BatchAuthenticator:
         """
         return not self._closed
 
-    @property
-    def recorder(self) -> FlightRecorder:
-        """The flight recorder batches are written into."""
-        return (
-            self._recorder
-            if self._recorder is not None
-            else get_flight_recorder()
-        )
-
     def __enter__(self) -> "BatchAuthenticator":
         return self
 
@@ -394,7 +373,10 @@ class BatchAuthenticator:
     # -- serving -------------------------------------------------------
 
     def authenticate_batch(
-        self, requests: list[AuthenticationRequest]
+        self,
+        requests: list[AuthenticationRequest],
+        *,
+        via: str | None = None,
     ) -> list[AuthenticationResponse]:
         """Serve a batch; one response per request, in input order.
 
@@ -402,13 +384,17 @@ class BatchAuthenticator:
         still unfinished when it expires come back with status
         ``"timeout"``.  A worker failure never raises here — it becomes
         a structured ``"error"`` response for that request only.
+        ``via`` names the admission path stamped on the requests'
+        captures (the broker passes ``"broker"``).
         """
-        return self._serve(list(requests), None, "serve.batch")
+        return self._serve(list(requests), None, "serve.batch", via)
 
     def authenticate_streaming(
         self,
         requests: list[AuthenticationRequest],
         exit_policy: ExitPolicy | None = None,
+        *,
+        via: str | None = None,
     ) -> list[AuthenticationResponse]:
         """Serve a batch through the streaming early-exit path.
 
@@ -422,13 +408,14 @@ class BatchAuthenticator:
         response carries both ``early_exit`` and ``degradation``.
         """
         policy = exit_policy or ExitPolicy()
-        return self._serve(list(requests), policy, "serve.stream")
+        return self._serve(list(requests), policy, "serve.stream", via)
 
     def _serve(
         self,
         requests: list[AuthenticationRequest],
         exit_policy: ExitPolicy | None,
         span_name: str,
+        via: str | None,
     ) -> list[AuthenticationResponse]:
         with ensure_trace() as batch_trace, trace(
             span_name,
@@ -441,17 +428,20 @@ class BatchAuthenticator:
                 responses = self._serve_serial(requests, exit_policy)
             else:
                 responses = self._serve_pooled(requests, exit_policy)
-            outcomes: dict[str, int] = {}
-            for response in responses:
-                outcomes[response.status] = (
-                    outcomes.get(response.status, 0) + 1
-                )
+            outcomes = Counter(response.status for response in responses)
             span.update(**{f"num_{k}": v for k, v in outcomes.items()})
-            self._record_batch(
-                requests, responses, streaming=exit_policy is not None
-            )
-        if requests:
-            self._record_flight(responses, batch_trace)
+        # Published after the span closes, so failed requests carry the
+        # finished batch trace.
+        publish(
+            [
+                self._decision_record(
+                    request, response, batch_trace,
+                    exit_policy is not None, via,
+                )
+                for request, response in zip(requests, responses)
+            ],
+            bundle=self.bundle,
+        )
         return responses
 
     def _serve_serial(
@@ -553,202 +543,29 @@ class BatchAuthenticator:
             ),
         )
 
-    def _record_batch(
+    def _decision_record(
         self,
-        requests: list[AuthenticationRequest],
-        responses: list[AuthenticationResponse],
-        streaming: bool = False,
-    ) -> None:
-        """Parent-side telemetry: counters, exemplars and audit entries.
-
-        Audit entries are written here — once per response, in the
-        parent — rather than inside the workers, so all three backends
-        produce exactly one ledger entry per request and the ledger
-        file never sees concurrent multi-process appends.  Responses
-        arrive in input order, so zipping against the requests recovers
-        each response's tenant for the per-tenant counter label and the
-        security sentinel's detectors.
-        """
-        metrics = pipeline_metrics()
-        ledger = get_audit_ledger()
-        sentinel = get_security_sentinel()
-        store = get_capture_store()
-        bundle_hash = (
-            store.ensure_bundle(self.bundle) if store is not None else None
-        )
-        for request, response in zip(requests, responses):
-            if store is not None:
-                # The worker recorded the pipeline-level capture (or
-                # shipped it home); the parent owns the bundle and the
-                # serving context, so it annotates — and stashes the
-                # bundle content-addressed so the capture directory is
-                # self-contained for offline replay.
-                store.annotate(
-                    response.request_id,
-                    bundle_hash=bundle_hash,
-                    degradation=response.degradation,
-                    tenant=request.tenant,
-                    backend=self.config.backend,
-                )
-            if metrics is not None:
-                metrics.serve_requests.labels(
-                    outcome=response.status,
-                    tenant=metrics.tenant_label(request.tenant),
-                ).inc()
-                if response.degradation is not None:
-                    metrics.serve_degradations.labels(
-                        step=response.degradation
-                    ).inc()
-                if response.latency_s is not None:
-                    metrics.serve_request_latency.labels().observe(
-                        response.latency_s,
-                        exemplar={
-                            "request_id": response.request_id,
-                            "value": response.latency_s,
-                        },
-                    )
-                if streaming and response.beeps_used is not None:
-                    metrics.stream_exits.labels(
-                        stage="early" if response.early_exit else "full"
-                    ).inc()
-                    metrics.stream_beeps_used.observe(
-                        float(response.beeps_used)
-                    )
-            if ledger is not None:
-                self._audit_response(ledger, response)
-            if sentinel is not None:
-                self._sentinel_observe(sentinel, request, response)
-
-    @staticmethod
-    def _sentinel_observe(sentinel, request, response) -> None:
-        """Feed one decision into the security sentinel's detectors.
-
-        The best (highest) finite SVDD score is what an adaptive
-        attacker optimises against the gate, so that is the probing
-        signal; identified users enter the fan-out tracker only on
-        accepted attempts, keeping spoofer labels out of it.
-        """
-        result = response.result
-        if result is None:
-            return
-        finite = [float(s) for s in result.scores if math.isfinite(s)]
-        sentinel.observe_auth(
-            accepted=bool(result.accepted),
+        request: AuthenticationRequest,
+        response: AuthenticationResponse,
+        batch_trace: PipelineTrace,
+        streaming: bool,
+        via: str | None,
+    ) -> DecisionRecord:
+        """The decision record of one served response; timed-out and
+        errored requests have no worker trace, so they carry the batch's."""
+        record = DecisionRecord.of_result(
+            response.request_id,
+            "serve",
+            response.result,
+            status=response.status,
             tenant=request.tenant,
-            user=str(result.label) if result.accepted else None,
-            score=max(finite) if finite else None,
-            request_id=response.request_id,
+            backend=self.config.backend,
+            degradation=response.degradation,
+            latency_s=response.latency_s,
+            error=response.error,
+            streaming=streaming,
+            via=via,
         )
-
-    def _audit_response(self, ledger, response) -> None:
-        """Append one response's decision context to the audit ledger."""
-        from repro.obs.envinfo import environment_fingerprint
-
-        result = response.result
-        if result is not None:
-            decision = "accept" if result.accepted else "reject"
-        else:
-            decision = response.status
-        fields: dict = {
-            "status": response.status,
-            "decision": decision,
-            "backend": self.config.backend,
-            "environment": environment_fingerprint(),
-        }
-        if result is not None:
-            fields["user"] = str(result.label)
-            fields["svdd_scores"] = [float(s) for s in result.scores]
-            # NaN marks beeps the SVDD gate rejected; JSON has no NaN.
-            fields["svm_margins"] = [
-                float(m) if math.isfinite(m) else None
-                for m in result.margins
-            ]
-            fields["distance_m"] = float(result.distance.user_distance_m)
-        if response.degradation is not None:
-            fields["degradation"] = response.degradation
-        if response.beeps_used is not None:
-            # The beeps the decision actually consumed — the degraded
-            # (shortened) attempt length, or the streaming exit point.
-            fields["beeps_used"] = int(response.beeps_used)
-        if response.early_exit:
-            fields["early_exit"] = True
-        if response.latency_s is not None:
-            fields["latency_s"] = response.latency_s
-        if response.error is not None:
-            fields["error"] = response.error
-        ledger.append("serve", response.request_id, **fields)
-
-    def _record_flight(
-        self,
-        responses: list[AuthenticationResponse],
-        batch_trace: PipelineTrace | None,
-    ) -> None:
-        """Write the batch into the flight recorder; dump on failure.
-
-        Every response becomes a request record (timed-out/errored
-        requests have no worker trace, so they carry the enclosing
-        ``serve.batch`` trace as their decision context); timeouts,
-        errors, degradations and drift alerts become structured events.
-        A batch containing timeouts or errors triggers an automatic
-        black-box dump when the recorder has a dump path configured.
-        """
-        recorder = self.recorder
-        batch_document = batch_trace.to_dict() if batch_trace else None
-        failed: list[str] = []
-        for response in responses:
-            trace_document = None
-            if response.result is not None and response.result.trace:
-                trace_document = response.result.trace.to_dict()
-            elif response.status in (STATUS_TIMEOUT, STATUS_ERROR):
-                trace_document = batch_document
-            recorder.record_request(
-                response.request_id,
-                response.status,
-                latency_s=response.latency_s,
-                degradation=response.degradation,
-                error=response.error,
-                trace=trace_document,
-            )
-            if response.status == STATUS_TIMEOUT:
-                failed.append(response.request_id)
-                recorder.record_event(
-                    "timeout",
-                    request_id=response.request_id,
-                    error=response.error,
-                    backend=self.config.backend,
-                )
-            elif response.status == STATUS_ERROR:
-                failed.append(response.request_id)
-                recorder.record_event(
-                    "worker_error",
-                    request_id=response.request_id,
-                    error=response.error,
-                    backend=self.config.backend,
-                )
-            elif response.degradation is not None:
-                recorder.record_event(
-                    "degradation",
-                    request_id=response.request_id,
-                    step=response.degradation,
-                )
-            elif response.early_exit:
-                recorder.record_event(
-                    "early_exit",
-                    request_id=response.request_id,
-                    beeps_used=response.beeps_used,
-                )
-            if response.result is not None:
-                for alert in response.result.drift_alerts:
-                    recorder.record_event(
-                        "drift_alert",
-                        request_id=response.request_id,
-                        monitor=alert.monitor,
-                        alert_kind=alert.kind,
-                        message=alert.message,
-                    )
-        if failed:
-            recorder.auto_dump(
-                "batch contained failed requests",
-                request_ids=failed,
-                backend=self.config.backend,
-            )
+        if response.result is None:
+            record = replace(record, trace=batch_trace or None)
+        return record

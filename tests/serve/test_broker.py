@@ -71,10 +71,10 @@ class ScriptedAuthenticator:
             for r in requests
         ]
 
-    def authenticate_batch(self, requests):
+    def authenticate_batch(self, requests, via=None):
         return self._respond(requests)
 
-    def authenticate_streaming(self, requests, exit_policy=None):
+    def authenticate_streaming(self, requests, exit_policy=None, via=None):
         self.streaming_batches += 1
         return self._respond(requests)
 
@@ -82,7 +82,7 @@ class ScriptedAuthenticator:
 class FailingAuthenticator(ScriptedAuthenticator):
     """Raises wholesale out of dispatch — the broker must absorb it."""
 
-    def authenticate_batch(self, requests):
+    def authenticate_batch(self, requests, via=None):
         raise RuntimeError("authenticator exploded")
 
 

@@ -4,8 +4,9 @@ The overload test floods the broker at 10x its queue capacity from
 concurrent submitter threads and checks the books balance exactly:
 every request id comes back exactly once, served + shed equals
 submitted, and the shed count in ``broker.shed_counts`` matches the
-``echoimage_broker_shed_total`` counter and the flight-recorder shed
-events.  The injection tests reuse the executor suite's crash/hang
+``echoimage_broker_shed_total`` counter, the flight-recorder shed
+events and the sentinel's shed feed, while the audit ledger and the
+flight recorder's request ring hold exactly the served ids.  The injection tests reuse the executor suite's crash/hang
 pipelines through the broker and require structured failures with no
 deadlock — every blocking call runs under the ``run_guarded`` ceiling.
 
@@ -22,10 +23,14 @@ import pytest
 
 from repro.config import BrokerConfig, ServingConfig
 from repro.obs import (
+    AuditLedger,
     FlightRecorder,
     MetricsRegistry,
+    set_audit_ledger,
     set_flight_recorder,
     set_registry,
+    set_security_sentinel,
+    verify_chain,
 )
 from repro.serve import (
     SHED_CAPACITY,
@@ -43,6 +48,7 @@ from tests.serve.test_executor import (
     _HangOnMarker,
     run_guarded,
 )
+from tests.serve.test_telemetry_propagation import _RecordingSentinel
 
 #: Per-request dispatch delay of the canned pipeline.  Long enough that
 #: a burst of submissions outruns the dispatcher (guaranteeing sheds in
@@ -84,7 +90,7 @@ def canned_result(enrolled):
 
 class TestOverload:
     def test_ten_x_overload_sheds_and_books_balance(
-        self, enrolled, bundle, canned_result
+        self, enrolled, bundle, canned_result, tmp_path
     ):
         _, attempt = enrolled
         capacity = 4
@@ -98,6 +104,10 @@ class TestOverload:
         previous_registry = set_registry(registry)
         recorder = FlightRecorder()
         previous_recorder = set_flight_recorder(recorder)
+        ledger = AuditLedger(tmp_path / "audit.jsonl")
+        previous_ledger = set_audit_ledger(ledger)
+        sentinel = _RecordingSentinel()
+        previous_sentinel = set_security_sentinel(sentinel)
         try:
             config = ServingConfig(backend="serial", degrade_on_error=False)
             broker_config = BrokerConfig(
@@ -145,6 +155,8 @@ class TestOverload:
         finally:
             set_registry(previous_registry)
             set_flight_recorder(previous_recorder)
+            set_audit_ledger(previous_ledger)
+            set_security_sentinel(previous_sentinel)
 
         total = submitters * per_submitter
         # Every submitted id resolved exactly once, and nothing else.
@@ -191,6 +203,25 @@ class TestOverload:
         assert {e["request_id"] for e in shed_events} == {
             r.request_id for r in shed
         }
+        # The audit ledger, the flight recorder's request ring and the
+        # sentinel's admission feed keep the same books: one ``serve``
+        # entry and one request record per served id and none for a
+        # shed id, and every shed reached the sentinel.
+        served_ids = sorted(r.request_id for r in served)
+        entries = ledger.entries()
+        assert all(e["kind"] == "serve" for e in entries)
+        assert sorted(e["request_id"] for e in entries) == served_ids
+        assert verify_chain(ledger.path).ok
+        assert sorted(r["request_id"] for r in recorder.requests()) == (
+            served_ids
+        )
+        sentinel_sheds = [
+            kwargs["request_id"]
+            for name, kwargs in sentinel.calls
+            if name == "observe_admission" and kwargs.get("shed_reason")
+        ]
+        assert len(sentinel_sheds) == len(shed)
+        assert set(sentinel_sheds) == {r.request_id for r in shed}
 
 
 class TestCrashInjection:

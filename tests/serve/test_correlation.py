@@ -20,6 +20,7 @@ from repro.obs import (
     Profiler,
     current_request_id,
     set_audit_ledger,
+    set_flight_recorder,
     set_registry,
 )
 from repro.serve import AuthenticationRequest, BatchAuthenticator
@@ -38,17 +39,17 @@ def serve_correlated(bundle, backend, requests):
     registry = MetricsRegistry()
     previous_registry = set_registry(registry)
     recorder = FlightRecorder()
+    previous_recorder = set_flight_recorder(recorder)
     try:
         with Profiler() as profiler:
             config = ServingConfig(backend=backend, max_workers=2)
-            with BatchAuthenticator(
-                bundle, config, recorder=recorder
-            ) as server:
+            with BatchAuthenticator(bundle, config) as server:
                 responses = run_guarded(
                     lambda: server.authenticate_batch(requests)
                 )
     finally:
         set_registry(previous_registry)
+        set_flight_recorder(previous_recorder)
     return responses, profiler.traces, registry, recorder
 
 
